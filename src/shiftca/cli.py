@@ -439,7 +439,6 @@ def cmd_repcheck(args) -> int:
     merged = RelationReport(
         depth=rr.depth,
         basis_size=rr.basis_size,
-        backend=rr.backend,
         checks=checks,
         skipped_symbols=skipped,
     )
@@ -449,8 +448,7 @@ def cmd_repcheck(args) -> int:
         if merged.passed:
             print(
                 f"all {len(merged.checks)} relation checks passed "
-                f"(depth {merged.depth}, basis {merged.basis_size}, "
-                f"backend {merged.backend})"
+                f"(depth {merged.depth}, basis {merged.basis_size})"
             )
         else:
             bad = merged.failures

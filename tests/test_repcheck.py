@@ -1,9 +1,10 @@
 """Finite-rank truncations and machine checks of the operator relations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from shiftca._backend import backend_name, quadruple_product, using_pure
 from shiftca.errors import DepthTooLarge, InputFormatError, WrongKind
 from shiftca.presentations import Presentation
 from shiftca.repcheck import (
@@ -84,7 +85,7 @@ def test_golden_universal_relations_frozen_counts():
     assert rep.failures == ()
     d = rep.to_json_dict()
     assert d["depth"] == 8
-    assert d["backend"] in ("numba", "pure-numpy")
+    assert "backend" not in d
 
 
 def test_even_shift_universal_relations_frozen_counts():
@@ -151,27 +152,69 @@ def test_products_stay_partial_isometries_on_the_interior():
         ((), ("0",), ()),
     ]
     for outer, mid, inner in triples:
-        m = partial_isometry_product(r, outer, mid, inner)
-        assert m.shape == (r.size, r.size)
+        rows, cols, counts = partial_isometry_product(r, outer, mid, inner)
         interior = r.count_upto(6 - max(len(outer), len(inner), 1) - 1)
-        sub = m[:, :interior]
-        assert set(np.unique(sub)) <= {0, 1}
-        assert sub.sum(axis=0).max() <= 1
+        inside = cols < interior
+        assert set(counts[inside].tolist()) <= {1}
+        col_sums = np.bincount(cols[inside], weights=counts[inside])
+        assert col_sums.max(initial=0) <= 1
 
 
-def test_backends_agree(monkeypatch):
-    r = build_truncation(GOLDEN, 8)
-    su = r.operator(("0",))
-    sv = r.operator(("1",))
-    up = r.preimages(("0",))
-    wp = r.preimages(("1", "0"))
-    monkeypatch.delenv("SHIFTCA_PURE_NUMPY", raising=False)
-    default = quadruple_product(su, sv, up, wp)
-    monkeypatch.setenv("SHIFTCA_PURE_NUMPY", "1")
-    assert using_pure()
-    assert backend_name() == "pure-numpy"
-    pure = quadruple_product(su, sv, up, wp)
-    assert np.array_equal(default, pure)
-    rep = check_universal_relations(r, word_budget=3)
-    assert rep.passed
-    assert rep.backend == "pure-numpy"
+def _dense(rep, word):
+    """Explicit 0/1 matrix of ``s_word``: column c has its 1 at s_word(c).
+
+    Floating point lets ``@`` use BLAS; the small counts stay exact.
+    """
+    op = rep.operator(word)
+    m = np.zeros((rep.size, rep.size))
+    cols = np.nonzero(op >= 0)[0]
+    m[op[cols], cols] = 1
+    return m
+
+
+@pytest.mark.parametrize("presentation", [GOLDEN, EVEN], ids=["golden", "even"])
+def test_sparse_product_matches_dense_matrix_product(presentation):
+    r = build_truncation(presentation, 8)
+    short = r.words[: r.count_upto(2)]
+    dense = {w: _dense(r, w) for w in short}
+    for outer, mid, inner in itertools.product(short, repeat=3):
+        want = dense[outer] @ dense[mid].T @ dense[mid] @ dense[inner].T
+        rows, cols, counts = partial_isometry_product(r, outer, mid, inner)
+        assert np.all(counts > 0)
+        keys = rows * r.size + cols
+        assert np.all(np.diff(keys) > 0)  # row-major, no repeats
+        got = np.zeros_like(want)
+        got[rows, cols] = counts
+        assert np.array_equal(got, want), (outer, mid, inner)
+    # the S_s^T S_s form the ck-adjacency check uses
+    for s in r.graph.alphabet.symbols:
+        rows, cols, counts = partial_isometry_product(r, (), (s,), ())
+        got = np.zeros((r.size, r.size))
+        got[rows, cols] = counts
+        assert np.array_equal(got, dense[(s,)].T @ dense[(s,)])
+
+
+def test_ck_witness_is_the_first_mismatch():
+    r = build_truncation(GOLDEN, 9)
+    rep = check_ck_relations(r, ((1, 1), (1, 1)))
+    adjacency = [c for c in rep.checks if c.relation == "ck-adjacency"]
+    assert rep.checks[0].passed
+    assert [c.passed for c in adjacency] == [True, False]
+    assert adjacency[1].witness == {
+        "row_word": "1", "column_word": "1", "got": 0, "expected": 1,
+    }
+    rep = check_ck_relations(r, ((0, 1), (1, 0)))
+    adjacency = [c for c in rep.checks if c.relation == "ck-adjacency"]
+    assert rep.checks[0].passed
+    assert [c.passed for c in adjacency] == [False, True]
+    assert adjacency[0].witness == {
+        "row_word": "0", "column_word": "0", "got": 1, "expected": 0,
+    }
+
+
+def test_deep_truncation_checks_stay_sparse():
+    # a dense product here would be 17 709^2 int64 entries, about 2.5 GB
+    r = build_truncation(GOLDEN, 18)
+    assert r.size == 17_709
+    assert check_universal_relations(r, word_budget=2).passed
+    assert check_ck_relations(r).passed
