@@ -17,29 +17,14 @@ results without ``--allow-partial``, 3 internal errors.
 
 ``--json`` reports are serialized with sorted keys and no whitespace,
 so identical input and flags give byte-identical bytes on stdout.
-
-With ``SHIFTCA_CACHE_DIR`` set, tower-backed commands cache the tower
-dump (JSON: per level m, class past sets, the inclusion/symbol/boundary
-matrices, and the exact-length filtration index sets) keyed by a sha256
-of the canonicalized presentation plus the level and monoid budgets.
-Writes go through a temp file and ``os.replace``; unreadable or stale
-cache entries are rebuilt, never trusted.  ``classes`` and ``kgroups``
-are served straight from a sufficient dump; commands that need the
-relation monoid (``check``, ``ideals``) always rebuild, since the dump
-deliberately stores only the level data.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-import tempfile
-from typing import Optional
 
-from . import __version__
 from .conditions import (
     Verdict,
     aperiodic_past,
@@ -49,9 +34,7 @@ from .conditions import (
     irreducible_past,
 )
 from .errors import InputFormatError, ShiftSpaceError
-from .intlinalg import IntMatrix, cokernel, kernel
 from .invariants import (
-    KGroupsReport,
     bowen_franks,
     ck_oracle,
     dimension_group,
@@ -76,7 +59,6 @@ from .tower import (
     matrix_I,
 )
 
-CACHE_ENV = "SHIFTCA_CACHE_DIR"
 DUMP_SCHEMA = "shiftca-tower-v1"
 DEFAULT_REPCHECK_DEPTH = 6
 
@@ -182,57 +164,9 @@ def _approx_exit(args, level: int) -> int:
     return 0 if args.allow_partial else 2
 
 
-# -- cache ------------------------------------------------------------------
-
-
-def _cache_key(p: Presentation, max_level: int, monoid_cap: int) -> str:
-    payload = json.dumps(
-        {
-            "presentation": p.to_dict(),
-            "max_level": max_level,
-            "monoid_cap": monoid_cap,
-            "version": __version__,
-            "schema": DUMP_SCHEMA,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _cache_load(cache_dir: str, key: str) -> Optional[dict]:
-    path = os.path.join(cache_dir, key + ".json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != DUMP_SCHEMA:
-        return None
-    return doc
-
-
-def _cache_store(cache_dir: str, key: str, doc: dict) -> None:
-    # advisory: any filesystem trouble just means no cache entry
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-            os.replace(tmp, os.path.join(cache_dir, key + ".json"))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass
-
-
 def tower_dump(tw: Tower) -> dict:
-    """JSON-ready dump of every built level (counts, pasts, matrices)."""
+    """The ``classes --json`` document: every built level's counts, pasts
+    and matrices."""
     alpha = tw.graph.alphabet
     top = tw.top_level
     levels = []
@@ -259,98 +193,46 @@ def tower_dump(tw: Tower) -> dict:
     }
 
 
-class _CacheHandle:
-    def __init__(self, args, p: Presentation):
-        self.dir = os.environ.get(CACHE_ENV) or None
-        self.key = (
-            _cache_key(p, args.max_level, args.monoid_cap) if self.dir else None
-        )
-
-    def load(self) -> Optional[dict]:
-        if not self.dir:
-            return None
-        return _cache_load(self.dir, self.key)
-
-    def store(self, doc: dict) -> None:
-        if self.dir:
-            _cache_store(self.dir, self.key, doc)
-
-
-def _build_and_dump(args, p: Presentation, cache: _CacheHandle) -> tuple[Tower, dict]:
-    tw = build_tower(p, max_level=args.max_level, monoid_cap=args.monoid_cap)
-    doc = tower_dump(tw)
-    cache.store(doc)
-    return tw, doc
-
-
 # -- commands ---------------------------------------------------------------
 
 
+def _tower(args) -> Tower:
+    return build_tower(_load(args), max_level=args.max_level, monoid_cap=args.monoid_cap)
+
+
 def cmd_classes(args) -> int:
-    p = _load(args)
-    cache = _CacheHandle(args, p)
-    doc = cache.load()
-    if doc is None:
-        _, doc = _build_and_dump(args, p, cache)
+    tw = _tower(args)
+    l0 = tw.stabilized_at
     if args.json:
-        _print_json(doc)
+        _print_json(tower_dump(tw))
     else:
         print(f"{'level':>5}  {'m':>8}")
-        for lv in doc["levels"]:
-            print(f"{lv['level']:>5}  {lv['m']:>8}")
-        l0 = doc["stabilized_at"]
+        for lv in tw.levels:
+            print(f"{lv.level:>5}  {lv.m:>8}")
         if l0 is None:
-            print(f"not stabilized within {doc['top_level']} levels")
+            print(f"not stabilized within {tw.top_level} levels")
         else:
             print(f"stabilized at {l0}")
-        final = doc["levels"][l0 if l0 is not None else doc["top_level"]]
-        for i, past in enumerate(final["classes"]):
+        final = tw.levels[l0 if l0 is not None else tw.top_level]
+        for i, c in enumerate(final.classes):
+            past = c.past.render(tw.graph.alphabet)
             shown = ", ".join(repr(w) for w in past[:8])
             if len(past) > 8:
                 shown += f", ... ({len(past)} words)"
             print(f"  class {i}: {{{shown}}}")
-    if doc["stabilized_at"] is None:
-        return _approx_exit(args, doc["top_level"])
+    if l0 is None:
+        return _approx_exit(args, tw.top_level)
     return 0
 
 
-def _kgroups_from_dump(doc: dict) -> Optional[tuple[KGroupsReport, Optional[int]]]:
-    l0 = doc["stabilized_at"]
-    if l0 is None:
-        lvl = max(doc["top_level"] - 1, 1)
-        exact = False
-    else:
-        lvl = max(l0, 1)
-        exact = True
-    if lvl >= doc["top_level"]:
-        return None  # dump lacks the boundary matrix at this level
-    b = doc["levels"][lvl]["B"]
-    if b is None:
-        return None
-    # row conjugation by the stable permutation does not move the
-    # invariant factors, so groups from the raw dump matrix match the
-    # cold-run computation
-    mat = IntMatrix.from_rows(b)
-    return KGroupsReport(cokernel(mat), kernel(mat), exact=exact, level=lvl), l0
-
-
 def cmd_kgroups(args) -> int:
-    p = _load(args)
-    cache = _CacheHandle(args, p)
-    doc = cache.load()
-    got = _kgroups_from_dump(doc) if doc is not None else None
-    if got is not None:
-        rep, l0 = got
-    else:
-        tw = build_tower(p, max_level=args.max_level, monoid_cap=args.monoid_cap)
-        rep = k_groups(tw, allow_partial=True)
-        l0 = tw.stabilized_at
-        cache.store(tower_dump(tw))
+    tw = _tower(args)
+    rep = k_groups(tw, allow_partial=True)
     if args.json:
         _print_json(rep.to_json_dict())
     else:
         mode = "exact" if rep.exact else "approximate"
-        shown = l0 if rep.exact else rep.level
+        shown = tw.stabilized_at if rep.exact else rep.level
         print(f"K0 = {rep.k0}, K1 = {rep.k1} ({mode}, level {shown})")
     if not rep.exact:
         return _approx_exit(args, rep.level)
@@ -358,11 +240,8 @@ def cmd_kgroups(args) -> int:
 
 
 def cmd_dimension_group(args) -> int:
-    p = _load(args)
-    cache = _CacheHandle(args, p)
-    tw = build_tower(p, max_level=args.max_level, monoid_cap=args.monoid_cap)
+    tw = _tower(args)
     rep = dimension_group(tw, k_max=args.k_max)  # NotStabilized -> exit 2
-    cache.store(tower_dump(tw))
     if args.json:
         _print_json(rep.to_json_dict())
     else:
@@ -385,8 +264,7 @@ def cmd_bf(args) -> int:
 
 
 def cmd_check(args) -> int:
-    p = _load(args)
-    tw = build_tower(p, max_level=args.max_level, monoid_cap=args.monoid_cap)
+    tw = _tower(args)
     fn = {
         "I": condition_I,
         "star": condition_star,
@@ -411,8 +289,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ideals(args) -> int:
-    p = _load(args)
-    tw = build_tower(p, max_level=args.max_level, monoid_cap=args.monoid_cap)
+    tw = _tower(args)
     rep = ideal_lattice(tw)  # NotStabilized -> exit 2
     if args.json:
         _print_json(rep.to_json_dict())

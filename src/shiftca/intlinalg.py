@@ -141,6 +141,15 @@ class SmithDecomposition:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
+    def cokernel(self) -> "AbelianGroup":
+        """Z^rows / (column span of the decomposed matrix)."""
+        torsion = tuple(x for x in self.invariant_factors if x > 1)
+        return AbelianGroup(self.d.n_rows - self.rank, torsion)
+
+    def kernel(self) -> "AbelianGroup":
+        """Kernel of the decomposed matrix on column vectors; always free."""
+        return AbelianGroup(self.d.n_cols - self.rank)
+
 
 def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     """Smallest |nonzero| entry in the submatrix d[t:][t:], ties row-major."""
@@ -319,14 +328,12 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     >>> str(cokernel(IntMatrix.from_rows([[2]])))
     'Z/2'
     """
-    s = smith(m)
-    torsion = tuple(x for x in s.invariant_factors if x > 1)
-    return AbelianGroup(m.n_rows - s.rank, torsion)
+    return smith(m).cokernel()
 
 
 def kernel(m: IntMatrix) -> AbelianGroup:
     """Kernel of m acting on column vectors; always free."""
-    return AbelianGroup(m.n_cols - smith(m).rank)
+    return smith(m).kernel()
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotStabilized, TowerTooShallow, WrongKind
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, kernel
+from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith
 from .presentations import Presentation
 from .tower import (
     Tower,
@@ -74,11 +74,11 @@ def k_groups(tw: Tower, allow_partial: bool = False) -> KGroupsReport:
                 "rerun with a larger level budget or allow_partial"
             )
         l = max(tw.top_level - 1, 1)
-        b = matrix_B(tw, l)
-        return KGroupsReport(cokernel(b), kernel(b), exact=False, level=l)
+        s = smith(matrix_B(tw, l))
+        return KGroupsReport(s.cokernel(), s.kernel(), exact=False, level=l)
     l = max(tw.stabilized_at, 1)  # B needs M_1, which needs level >= 1
-    b = _stable_B(tw, l)
-    return KGroupsReport(cokernel(b), kernel(b), exact=True, level=l)
+    s = smith(_stable_B(tw, l))
+    return KGroupsReport(s.cokernel(), s.kernel(), exact=True, level=l)
 
 
 @dataclass(frozen=True)
@@ -142,18 +142,11 @@ def dimension_group(tw: Tower, k_max: int = 3) -> DimensionGroupReport:
         row_of = {parent[i]: pos for pos, i in enumerate(m_k1_up)}
         rows = tuple(a.rows[row_of[j]] for j in m_k1)
         amap = IntMatrix(rows, a.n_cols)
-        delta = _delta_between(tw, l, m_k, m_k1)
+        delta = projection_delta(tw, l, k)
         systems.append(
             StationarySystem(k, l, m_k, m_k1, amap, delta)
         )
     return DimensionGroupReport(tuple(systems))
-
-
-def _delta_between(tw: Tower, l: int, cols_idx, rows_idx) -> IntMatrix:
-    rows = tuple(
-        tuple(1 if j == i else 0 for j in cols_idx) for i in rows_idx
-    )
-    return IntMatrix(rows, len(cols_idx))
 
 
 @dataclass(frozen=True)
@@ -254,6 +247,7 @@ def ck_oracle(p: Presentation) -> CkOracleReport:
     )
     imct = IntMatrix.identity(len(kept)) - c.transpose()
     names = tuple(tuple(p.alphabet.symbols[a] for a in ms) for ms in kept)
+    s = smith(imct)
     return CkOracleReport(
-        cokernel(imct), kernel(imct), c, names, _is_primitive(c)
+        s.cokernel(), s.kernel(), c, names, _is_primitive(c)
     )

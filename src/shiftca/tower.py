@@ -71,12 +71,6 @@ class TowerLevel:
         """Number of classes at this level."""
         return len(self.classes)
 
-    def class_of(self, tset: int) -> int:
-        for c in self.classes:
-            if tset in c.tsets:
-                return c.index
-        raise KeyError(f"tset {bin(tset)} not in any class")
-
 
 class Tower:
     """Refinement tower over the realized T-sets of a labeled graph.

@@ -1,4 +1,4 @@
-"""Command line driver: exit codes, output formats, and the dump cache."""
+"""Command line driver: exit codes and output formats."""
 
 import io
 import json
@@ -120,15 +120,18 @@ def test_bowen_franks_line(inputs, capsys):
 
 
 def test_budget_exit_and_allow_partial(inputs, capsys):
-    code, out, _ = run(capsys, ["kgroups", "-i", inputs["even"], "-l", "1"])
-    assert code == 2
-    assert "APPROXIMATE (level 1)" in out
-    assert "(approximate, level 1)" in out
-    code, out, _ = run(
-        capsys, ["kgroups", "-i", inputs["even"], "-l", "1", "--allow-partial"]
-    )
-    assert code == 0
-    assert "APPROXIMATE (level 1)" in out
+    for cmd, line in (
+        ("kgroups", "K0 = Z, K1 = 0 (approximate, level 1)"),
+        ("classes", "not stabilized within 1 levels"),
+    ):
+        argv = [cmd, "-i", inputs["even"], "-l", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 2, cmd
+        assert line in out.splitlines()
+        assert out.splitlines()[-1] == "APPROXIMATE (level 1)"
+        code, partial, _ = run(capsys, argv + ["--allow-partial"])
+        assert code == 0, cmd
+        assert partial == out
 
 
 def test_json_mode_routes_approximate_note_to_stderr(inputs, capsys):
@@ -167,6 +170,17 @@ def test_reads_stdin_with_dash(inputs, capsys, monkeypatch):
     assert out == "K0 = 0, K1 = 0 (exact, level 1)\n"
 
 
+GOLDEN_CLASSES_JSON = (
+    '{"levels":[{"B":null,"I":[[1],[1]],"M":[],"classes":[[""]],"level":0,'
+    '"m":1,"sum_A":[[1],[2]]},{"B":[[-1,0],[1,-1]],"I":[[0,1],[1,0]],'
+    '"M":[[0,1]],"classes":[["","0"],["","0","1"]],"level":1,"m":2,'
+    '"sum_A":[[1,1],[0,1]]},{"B":null,"I":null,"M":[[0,1],[0,1]],'
+    '"classes":[["","0","1","00","01","10"],["","0","00","10"]],"level":2,'
+    '"m":2,"sum_A":null}],"monoid_size":5,"schema":"shiftca-tower-v1",'
+    '"stabilized_at":1,"t_set_count":2,"top_level":2}\n'
+)
+
+
 def test_json_output_is_deterministic(inputs, capsys):
     a = run(capsys, ["kgroups", "-i", inputs["gm"], "--json"])
     b = run(capsys, ["kgroups", "-i", inputs["gm"], "--json"])
@@ -184,44 +198,7 @@ def test_json_output_is_deterministic(inputs, capsys):
     doc = json.loads(c[1])
     assert doc["stabilized_at"] == 2
     assert [lv["m"] for lv in doc["levels"]] == [1, 2, 3, 3]
+    assert run(capsys, ["classes", "-i", inputs["gm"], "--json"]) == (
+        0, GOLDEN_CLASSES_JSON, ""
+    )
 
-
-def test_cache_round_trip(inputs, capsys, monkeypatch, tmp_path):
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("SHIFTCA_CACHE_DIR", str(cache_dir))
-    cold = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
-    files = list(cache_dir.glob("*.json"))
-    assert len(files) == 1
-    warm = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
-    assert warm == cold
-    monkeypatch.delenv("SHIFTCA_CACHE_DIR")
-    bare = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
-    assert bare == cold
-
-
-def test_kgroups_served_from_cached_dump(inputs, capsys, monkeypatch, tmp_path):
-    plain = run(capsys, ["kgroups", "-i", inputs["even"], "--json"])
-    monkeypatch.setenv("SHIFTCA_CACHE_DIR", str(tmp_path / "cache"))
-    run(capsys, ["classes", "-i", inputs["even"], "--json"])  # seeds the dump
-    served = run(capsys, ["kgroups", "-i", inputs["even"], "--json"])
-    assert served == plain
-
-
-def test_corrupt_cache_is_rebuilt(inputs, capsys, monkeypatch, tmp_path):
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("SHIFTCA_CACHE_DIR", str(cache_dir))
-    cold = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
-    [entry] = cache_dir.glob("*.json")
-    entry.write_text("garbage{{{")
-    again = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
-    assert again == cold
-    assert json.loads(entry.read_text())["schema"] == "shiftca-tower-v1"
-
-
-def test_cache_key_separates_budgets(inputs, capsys, monkeypatch, tmp_path):
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("SHIFTCA_CACHE_DIR", str(cache_dir))
-    run(capsys, ["classes", "-i", inputs["even"], "--json"])
-    run(capsys, ["classes", "-i", inputs["even"], "-l", "1", "--json",
-                 "--allow-partial"])
-    assert len(list(cache_dir.glob("*.json"))) == 2

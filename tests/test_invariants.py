@@ -2,6 +2,8 @@
 
 import pytest
 
+import shiftca.intlinalg
+import shiftca.invariants
 from shiftca.errors import NotStabilized, TowerTooShallow, WrongKind
 from shiftca.intlinalg import AbelianGroup
 from shiftca.invariants import bowen_franks, ck_oracle, dimension_group, k_groups
@@ -60,6 +62,10 @@ def test_k_groups_partial_path():
     assert rep.level == 1
     # the level-1 approximation has not yet separated the two parities
     assert (rep.k0, rep.k1) == (Z, TRIVIAL)
+    # building B one level deeper stabilizes the golden tower; the report
+    # still describes the budget it was given
+    rep = k_groups(build_tower(GOLDEN, max_level=1), allow_partial=True)
+    assert (rep.k0, rep.k1, rep.exact, rep.level) == (TRIVIAL, TRIVIAL, False, 1)
 
 
 def test_golden_dimension_group():
@@ -161,3 +167,23 @@ def test_matrix_only_invariants_reject_labeled_graphs():
         bowen_franks(EVEN)
     with pytest.raises(WrongKind):
         ck_oracle(EVEN)
+
+
+def test_one_smith_decomposition_per_group_pair(monkeypatch):
+    calls = []
+    real = shiftca.intlinalg.smith
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(shiftca.intlinalg, "smith", counting)
+    monkeypatch.setattr(shiftca.invariants, "smith", counting, raising=False)
+    for run in (
+        lambda: ck_oracle(full_shift(3)),
+        lambda: k_groups(build_tower(GOLDEN)),
+        lambda: k_groups(build_tower(EVEN, max_level=1), allow_partial=True),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
