@@ -4,9 +4,10 @@ Four yes/no questions about the class structure are answered with
 certificates, plus one lattice enumeration:
 
 * :func:`condition_I` — does every class (at the stabilized level) contain at
-  least two points?  Decided by exact, clamped point counting on the monoid
-  graph; a failing class comes with its unique point, which is re-verified by
-  an independent bounded enumeration.
+  least two points?  Decided by one pass over the monoid graph that counts
+  the points of every realized T-set at once, clamped at 2, as entry words
+  times forced tails; a failing class comes with its unique point, which is
+  re-verified by an independent bounded enumeration.
 * :func:`condition_star` — does every infinite word class share its past set
   with some class of points?  Decided by a joint partition refinement over
   all relation domains, run to its own fixpoint.
@@ -23,7 +24,6 @@ Every verdict is deterministic: same tower, same answer, same certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,149 +85,107 @@ def _vertex_names(tw: Tower, mask: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _count_points_with_tset(monoid: MonoidGraph, t: int):
-    """Clamped-at-2 number of points whose readable-vertex set is exactly t.
+def _point_counts(
+    monoid: MonoidGraph,
+) -> dict[int, tuple[int, Optional[tuple[Word, Word]]]]:
+    """Clamped-at-2 number of points per realized T-set, in one pass.
 
     A point is an infinite walk in the monoid graph starting at the identity,
     and its T-set is the eventually-constant domain along the walk (domains
     only shrink).  Walks with eventual domain t therefore decompose uniquely
     into a first-entry prefix into S = {nodes with domain t} followed by an
-    infinite tail inside S, so the count is
+    infinite tail inside the live part of S, so the count is
 
-        sum over r in S of  (#entry walks to r) * (#infinite tails from r),
+        sum over live r in S of  entry(r) * tails(r),
 
-    with both factors clamped at 2.  Returns ``(count, witness)`` where
-    witness is ``(prefix_word, cycle_word)`` for the unique point when
-    count == 1, else None.
+    with every term clamped at 2.  Every node before the entry step has a
+    domain strictly above t, so any word reaching it will do:
+
+        entry(r) = [r = 0] + sum over in-edges (p, a) with dom(p) != dom(r)
+                   of words(p),
+
+    where words(p), the clamped number of words reaching p, is 1 exactly on
+    the tree of in-degree-1 nodes grown from an in-degree-0 identity (its
+    parent edges spell the prefix) and 2 elsewhere.  Maps each T-set to
+    ``(count, witness)``, where witness is ``(prefix_word, cycle_word)`` for
+    the unique point when count == 1, else None.
     """
-    n = len(monoid)
-    n_sym = len(monoid.graph.alphabet)
-    in_s = [monoid.doms[i] == t for i in range(n)]
-    s_nodes = {i for i in range(n) if in_s[i]}
-    live = _trim_to_live(s_nodes, monoid.successors)
-
-    # tails: from r in live, the tail is unique iff no reachable node inside
-    # live offers two symbols that stay in live
-    rev: dict[int, set[int]] = {v: set() for v in live}
-    branching = set()
-    for v in live:
-        stay = 0
-        for a in range(n_sym):
-            j = monoid.step[v][a]
-            if j is not None and j in live:
-                stay += 1
-                rev[j].add(v)
-        if stay >= 2:
-            branching.add(v)
-    sees_branch = set(branching)
-    work = list(branching)
-    while work:
-        v = work.pop()
-        for p in rev[v]:
-            if p not in sees_branch:
-                sees_branch.add(p)
-                work.append(p)
-
-    def tails(r: int) -> int:
-        if r not in live:
-            return 0
-        return 2 if r in sees_branch else 1
-
-    # entry walks: clamped counts of walks from the identity that stay
-    # outside S until the final step
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if in_s[v]:
-            continue
-        for a in range(n_sym):
-            j = monoid.step[v][a]
+    step = monoid.step
+    doms = monoid.doms
+    indeg = [0] * len(monoid)
+    for row in step:
+        for j in row:
             if j is not None:
-                preds[j].append(v)
-    if in_s[0]:
-        # every walk starts inside S, so the empty walk is the only entry
-        entry = {r: (1 if r == 0 else 0) for r in s_nodes}
-    else:
-        w = [0] * n
-        for _ in range(2 * n + 2):
-            nw = [0] * n
-            for v in range(n):
-                if in_s[v]:
-                    continue
-                acc = 1 if v == 0 else 0
-                for p in preds[v]:
-                    acc += w[p]
-                nw[v] = min(acc, 2)
-            if nw == w:
-                break
-            w = nw
-        else:  # pragma: no cover - the clamp bounds total growth by 2n
-            raise IllDefinedTransition("entry-walk counting failed to settle")
-        entry = {r: min(sum(w[p] for p in preds[r]), 2) for r in s_nodes}
+                indeg[j] += 1
+    tree: dict[int, Optional[tuple[int, int]]] = {}  # node -> (parent, symbol)
+    if indeg[0] == 0:
+        tree[0] = None
+        work = [0]
+        while work:
+            p = work.pop()
+            for a, j in enumerate(step[p]):
+                if j is not None and indeg[j] == 1:
+                    tree[j] = (p, a)
+                    work.append(j)
+    entry = [0] * len(monoid)
+    entry[0] = 1
+    entered_by: dict[int, tuple[int, int]] = {}
+    for p, row in enumerate(step):
+        for a, r in enumerate(row):
+            if r is not None and doms[r] != doms[p]:
+                entry[r] += 1 if p in tree else 2
+                entered_by[r] = (p, a)
 
-    count = 0
-    sole = None
-    for r in sorted(s_nodes):
-        k = min(entry[r] * tails(r), 2)
-        if k == 1:
-            sole = r
-        count = min(count + k, 2)
-    if count != 1:
-        return count, None
+    symbols = monoid.graph.alphabet.symbols
+    out = {}
+    for t, live in monoid.live_by_dom.items():
+        # tails: from r the tail is unique iff no node it reaches inside live
+        # offers two symbols that stay in live
+        stay = {v: [(a, j) for a, j in enumerate(step[v]) if j in live] for v in live}
+        rev: dict[int, list[int]] = {v: [] for v in live}
+        for v, edges in stay.items():
+            for _, j in edges:
+                rev[j].append(v)
+        branches = {v for v in live if len(stay[v]) >= 2}
+        work = list(branches)
+        while work:
+            for p in rev[work.pop()]:
+                if p not in branches:
+                    branches.add(p)
+                    work.append(p)
+        count = 0
+        sole = None
+        for r in live:
+            k = min(entry[r] * (2 if r in branches else 1), 2)
+            if k == 1:
+                sole = r
+            count = min(count + k, 2)
+        if count != 1:
+            out[t] = (count, None)
+            continue
 
-    # witness reconstruction: unique entry walk, then the forced tail
-    assert sole is not None
-    prefix: list[int] = []
-    if not in_s[0]:
-        # follow the unique chain of weight-1 contributions back to the seed;
-        # a weight-1 node other than the identity has exactly one incoming
-        # edge from a weight-1 node, and the identity's weight is its seed
-        node = sole
-        visited: set[int] = set()
-        while node != 0:
-            contributors = [
-                (p, a)
-                for p in range(n)
-                if not in_s[p] and w[p] == 1
-                for a in range(n_sym)
-                if monoid.step[p][a] == node
-            ]
-            if len(contributors) != 1:
-                raise IllDefinedTransition("unique entry walk is not unique")
-            p, a = contributors[0]
+        # witness: the tree path to the single entry edge, then the forced
+        # tail until it repeats a node
+        prefix: list[int] = []
+        edge = entered_by.get(sole)
+        while edge is not None:
+            p, a = edge
             prefix.append(a)
-            if p in visited:
-                raise IllDefinedTransition("entry walk reconstruction cycled")
-            visited.add(p)
-            node = p
+            edge = tree[p]
         prefix.reverse()
-
-    tail_syms: list[int] = []
-    order = {sole: 0}
-    cur = sole
-    while True:
-        nxt = None
-        sym = None
-        for a in range(n_sym):
-            j = monoid.step[cur][a]
-            if j is not None and j in live:
-                if nxt is not None:
-                    raise IllDefinedTransition("forced tail branches")
-                nxt, sym = j, a
-        if nxt is None:
-            raise IllDefinedTransition("forced tail dies")
-        tail_syms.append(sym)
-        cur = nxt
-        if cur in order:
-            split = order[cur]
-            break
-        order[cur] = len(tail_syms)
-
-    symbols = list(monoid.graph.alphabet)
-    prefix_word = tuple(symbols[a] for a in prefix) + tuple(
-        symbols[a] for a in tail_syms[:split]
-    )
-    cycle_word = tuple(symbols[a] for a in tail_syms[split:])
-    return 1, (prefix_word, cycle_word)
+        tail: list[int] = []
+        order = {sole: 0}
+        cur = sole
+        while True:
+            ((a, cur),) = stay[cur]
+            tail.append(a)
+            if cur in order:
+                break
+            order[cur] = len(tail)
+        split = order[cur]
+        prefix_word = tuple(symbols[a] for a in prefix + tail[:split])
+        out[t] = (1, (prefix_word, tuple(symbols[a] for a in tail[split:])))
+    return out
 
 
 def _live_nodes_for(monoid: MonoidGraph, t: int) -> set[int]:
@@ -315,9 +273,11 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
     of stabilized classes and every class carries at least one point, so a
     singleton exists at some level iff one exists at stabilization.  When the
     tower never stabilized within its budget the verdict is computed at the
-    top built level and flagged as a bounded search.  A failure certificate
-    names the class and its unique eventually periodic point, and is
-    re-verified by an independent enumeration to depth 2 * monoid size.
+    top built level and flagged as a bounded search.  The points of all
+    T-sets are counted together (clamped at 2) by one pass over the monoid
+    graph.  A failure certificate names the class and its unique eventually
+    periodic point, and is re-verified by an independent enumeration to
+    depth 2 * monoid size.
     """
     if level is None:
         if tw.stabilized_at is None:
@@ -328,13 +288,14 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
     else:
         lvl, bound = level, None
     tier = tw.level(lvl)
+    counts = _point_counts(tw.monoid)
     witnesses = {}
     singleton = None
     for cls in tier.classes:
         total = 0
         wit = None
         for t in cls.tsets:
-            cnt, w = _count_points_with_tset(tw.monoid, t)
+            cnt, w = counts[t]
             if cnt == 0:
                 raise IllDefinedTransition(
                     "realized T-set carries no point; realizedness broke"
@@ -407,14 +368,11 @@ def condition_star(tw: Tower) -> Verdict:
                 key.append(-1 if p == 0 else block[p])
             sigs[s] = tuple(key)
         relabel = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new_block = {s: relabel[sigs[s]] for s in universe}
-        same = len(set(new_block.values())) == len(set(block.values())) and all(
-            (new_block[a] == new_block[b]) == (block[a] == block[b])
-            for a, b in itertools.combinations(universe, 2)
-        )
-        if same:
+        # each signature starts with the old block, so the new partition
+        # refines the old one: equal block counts mean equal partitions
+        if len(relabel) == len(set(block.values())):
             break
-        block = new_block
+        block = {s: relabel[sigs[s]] for s in universe}
         fixpoint_level += 1
 
     matches = []
@@ -662,10 +620,12 @@ def ideal_lattice(tw: Tower, level: Optional[int] = None) -> IdealLatticeReport:
                 work.append(u)
     ordered = sorted(elements, key=lambda e: (len(e), sorted(e)))
     index = {e: i for i, e in enumerate(ordered)}
+    # every element above e contains some e | closures[c] with c not in e,
+    # so the covers of e are the inclusion-minimal such unions
     covers = []
-    for a, b in itertools.permutations(ordered, 2):
-        if a < b and not any(a < c < b for c in ordered):
-            covers.append((index[a], index[b]))
+    for e in ordered:
+        ups = {e | closures[c] for c in range(m) if c not in e}
+        covers.extend((index[e], index[u]) for u in ups if not any(v < u for v in ups))
     covers.sort()
     return IdealLatticeReport(
         level=lvl,

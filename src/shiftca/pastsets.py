@@ -167,6 +167,27 @@ class MonoidGraph:
                     work.append(j)
         return tuple(flag)
 
+    @cached_property
+    def live_by_dom(self) -> dict[int, frozenset[int]]:
+        """Realized T-set -> its live nodes.
+
+        A candidate D (necessarily the domain of some reachable relation) is
+        realized by a point iff the subgraph of nodes with domain D still
+        contains a node after trimming to out-degree >= 1 inside the subgraph:
+        the trimmed survivors are exactly the relations from which some
+        infinite word keeps its domain pinned at D forever, and domains only
+        shrink along composition, so such a tail pins T(x) = D.
+        """
+        by_dom: dict[int, set[int]] = {}
+        for i, d in enumerate(self.doms):
+            by_dom.setdefault(d, set()).add(i)
+        out = {}
+        for d, nodes in by_dom.items():
+            live = _trim_to_live(nodes, self.successors)
+            if live:
+                out[d] = frozenset(live)
+        return out
+
 
 def _cyclic_nodes(n: int, successors: Callable[[int], Iterable[int]]) -> list[bool]:
     """Nodes lying on a directed cycle, via iterative Tarjan SCC."""
@@ -238,26 +259,8 @@ def _trim_to_live(nodes: set[int], successors: Callable[[int], Iterable[int]]) -
 
 
 def realized_tsets(monoid: MonoidGraph) -> tuple[int, ...]:
-    """All vertex sets of the form T(x), sorted by bitmask value.
-
-    A candidate D (necessarily the domain of some reachable relation) is
-    realized by a point iff the subgraph of monoid nodes with domain D still
-    contains a node after trimming to out-degree >= 1 inside the subgraph:
-    the trimmed survivors are exactly the relations from which some infinite
-    word keeps its domain pinned at D forever, and domains only shrink along
-    composition, so such a tail pins T(x) = D.
-    """
-    by_dom: dict[int, set[int]] = {}
-    for i, d in enumerate(monoid.doms):
-        by_dom.setdefault(d, set()).add(i)
-    out = []
-    for d, nodes in by_dom.items():
-        live = _trim_to_live(
-            nodes, lambda v: (j for j in monoid.successors(v) if j in nodes)
-        )
-        if live:
-            out.append(d)
-    return tuple(sorted(out))
+    """All vertex sets of the form T(x), sorted by bitmask value."""
+    return tuple(sorted(monoid.live_by_dom))
 
 
 @dataclass(frozen=True)
@@ -321,21 +324,6 @@ class PastSetCalculator:
 
     def past_set(self, tset: int, level: int) -> PastSet:
         return PastSet(level, self.words_of_set(tset, level))
-
-    def has_exact_length_word(self, tset: int, k: int) -> bool:
-        """Is there an admissible prepend-word of length exactly k?"""
-        frontier = {tset}
-        for _ in range(k):
-            nxt = set()
-            for s in frontier:
-                for a in range(len(self.graph.alphabet)):
-                    p = self.pre(s, a)
-                    if p:
-                        nxt.add(p)
-            frontier = nxt
-            if not frontier:
-                return False
-        return bool(frontier)
 
 
 def point_past_set(g: Graph, tset: int, level: int) -> PastSet:

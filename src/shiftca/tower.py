@@ -53,7 +53,9 @@ class PastClass:
     index: int
     tsets: tuple[int, ...]  # member T-set bitmasks, ascending
     past: PastSet
-    has_exact_past: tuple[bool, ...]  # entry k: some past word of length exactly k
+    # entry k: some past word of length exactly k, by the recurrence
+    # exact_k(t) = OR_a exact_{k-1}(Pre_a t) over the realized T-sets
+    has_exact_past: tuple[bool, ...]
 
     @property
     def size(self) -> int:
@@ -89,6 +91,7 @@ class Tower:
         self.stabilized_at: Optional[int] = None
         self._class_maps: list[dict[int, int]] = []  # per level: tset -> class idx
         self._blocks: list[frozenset[frozenset[int]]] = []
+        self._exact: list[frozenset[int]] = []  # per k: T-sets with a length-k past
         self._append_level(self._initial_partition())
 
     # -- construction ------------------------------------------------------
@@ -99,6 +102,17 @@ class Tower:
     def _append_level(self, blocks: list[list[int]]) -> None:
         level = len(self.levels)
         alph = self.graph.alphabet
+        # Pre_{u·a}(t) = Pre_u(Pre_a t), and Pre_a of a realized T-set is
+        # realized or empty, so the length-k flags follow from the length-(k-1)
+        # ones
+        if level == 0:
+            self._exact.append(frozenset(self.tsets))
+        else:
+            prev = self._exact[-1]
+            self._exact.append(frozenset(
+                t for t in self.tsets
+                if any(self.calc.pre(t, a) in prev for a in range(len(alph)))
+            ))
         decorated = []
         for members in blocks:
             past = self.calc.past_set(members[0], level)
@@ -107,16 +121,10 @@ class Tower:
         classes = []
         parent: Optional[list[int]] = [] if level > 0 else None
         for idx, (_, members, past) in enumerate(decorated):
-            flags = tuple(
-                self.calc.has_exact_length_word(members[0], k)
-                for k in range(level + 1)
-            )
+            flags = tuple(members[0] in self._exact[k] for k in range(level + 1))
             # members of one class agree on every flag up to the level
             for t in members[1:]:
-                other = tuple(
-                    self.calc.has_exact_length_word(t, k) for k in range(level + 1)
-                )
-                if other != flags:
+                if tuple(t in self._exact[k] for k in range(level + 1)) != flags:
                     raise IllDefinedTransition(
                         f"class members disagree on exact-length pasts at level {level}"
                     )

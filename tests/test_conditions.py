@@ -1,16 +1,22 @@
 """Structural conditions on the stabilized tower, with frozen certificates."""
 
+import random
+from itertools import product
+
 import pytest
 
 from shiftca.conditions import (
     Verdict,
+    _point_counts,
     aperiodic_past,
     condition_I,
     condition_star,
     ideal_lattice,
     irreducible_past,
 )
-from shiftca.presentations import Presentation
+from shiftca.errors import EmptyShift, IllDefinedTransition
+from shiftca.pastsets import MonoidGraph, _trim_to_live, realized_tsets
+from shiftca.presentations import Presentation, to_labeled_graph
 from shiftca.tower import build_tower
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
@@ -197,3 +203,242 @@ def test_verdicts_stable_one_level_past_stabilization():
         a = ideal_lattice(tw, level=l0)
         b = ideal_lattice(tw, level=l0 + 1)
         assert (a.elements, a.order) == (b.elements, b.order)
+
+
+# ---------------------------------------------------------------------------
+# point counting against the per-T-set fixpoint it replaced
+# ---------------------------------------------------------------------------
+
+
+def _count_points_with_tset(monoid: MonoidGraph, t: int):
+    """Clamped-at-2 number of points whose readable-vertex set is exactly t.
+
+    A point is an infinite walk in the monoid graph starting at the identity,
+    and its T-set is the eventually-constant domain along the walk (domains
+    only shrink).  Walks with eventual domain t therefore decompose uniquely
+    into a first-entry prefix into S = {nodes with domain t} followed by an
+    infinite tail inside S, so the count is
+
+        sum over r in S of  (#entry walks to r) * (#infinite tails from r),
+
+    with both factors clamped at 2.  Returns ``(count, witness)`` where
+    witness is ``(prefix_word, cycle_word)`` for the unique point when
+    count == 1, else None.
+    """
+    n = len(monoid)
+    n_sym = len(monoid.graph.alphabet)
+    in_s = [monoid.doms[i] == t for i in range(n)]
+    s_nodes = {i for i in range(n) if in_s[i]}
+    live = _trim_to_live(s_nodes, monoid.successors)
+
+    # tails: from r in live, the tail is unique iff no reachable node inside
+    # live offers two symbols that stay in live
+    rev: dict[int, set[int]] = {v: set() for v in live}
+    branching = set()
+    for v in live:
+        stay = 0
+        for a in range(n_sym):
+            j = monoid.step[v][a]
+            if j is not None and j in live:
+                stay += 1
+                rev[j].add(v)
+        if stay >= 2:
+            branching.add(v)
+    sees_branch = set(branching)
+    work = list(branching)
+    while work:
+        v = work.pop()
+        for p in rev[v]:
+            if p not in sees_branch:
+                sees_branch.add(p)
+                work.append(p)
+
+    def tails(r: int) -> int:
+        if r not in live:
+            return 0
+        return 2 if r in sees_branch else 1
+
+    # entry walks: clamped counts of walks from the identity that stay
+    # outside S until the final step
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if in_s[v]:
+            continue
+        for a in range(n_sym):
+            j = monoid.step[v][a]
+            if j is not None:
+                preds[j].append(v)
+    if in_s[0]:
+        # every walk starts inside S, so the empty walk is the only entry
+        entry = {r: (1 if r == 0 else 0) for r in s_nodes}
+    else:
+        w = [0] * n
+        for _ in range(2 * n + 2):
+            nw = [0] * n
+            for v in range(n):
+                if in_s[v]:
+                    continue
+                acc = 1 if v == 0 else 0
+                for p in preds[v]:
+                    acc += w[p]
+                nw[v] = min(acc, 2)
+            if nw == w:
+                break
+            w = nw
+        else:  # pragma: no cover - the clamp bounds total growth by 2n
+            raise IllDefinedTransition("entry-walk counting failed to settle")
+        entry = {r: min(sum(w[p] for p in preds[r]), 2) for r in s_nodes}
+
+    count = 0
+    sole = None
+    for r in sorted(s_nodes):
+        k = min(entry[r] * tails(r), 2)
+        if k == 1:
+            sole = r
+        count = min(count + k, 2)
+    if count != 1:
+        return count, None
+
+    # witness reconstruction: unique entry walk, then the forced tail
+    assert sole is not None
+    prefix: list[int] = []
+    if not in_s[0]:
+        # follow the unique chain of weight-1 contributions back to the seed;
+        # a weight-1 node other than the identity has exactly one incoming
+        # edge from a weight-1 node, and the identity's weight is its seed
+        node = sole
+        visited: set[int] = set()
+        while node != 0:
+            contributors = [
+                (p, a)
+                for p in range(n)
+                if not in_s[p] and w[p] == 1
+                for a in range(n_sym)
+                if monoid.step[p][a] == node
+            ]
+            if len(contributors) != 1:
+                raise IllDefinedTransition("unique entry walk is not unique")
+            p, a = contributors[0]
+            prefix.append(a)
+            if p in visited:
+                raise IllDefinedTransition("entry walk reconstruction cycled")
+            visited.add(p)
+            node = p
+        prefix.reverse()
+
+    tail_syms: list[int] = []
+    order = {sole: 0}
+    cur = sole
+    while True:
+        nxt = None
+        sym = None
+        for a in range(n_sym):
+            j = monoid.step[cur][a]
+            if j is not None and j in live:
+                if nxt is not None:
+                    raise IllDefinedTransition("forced tail branches")
+                nxt, sym = j, a
+        if nxt is None:
+            raise IllDefinedTransition("forced tail dies")
+        tail_syms.append(sym)
+        cur = nxt
+        if cur in order:
+            split = order[cur]
+            break
+        order[cur] = len(tail_syms)
+
+    symbols = list(monoid.graph.alphabet)
+    prefix_word = tuple(symbols[a] for a in prefix) + tuple(
+        symbols[a] for a in tail_syms[:split]
+    )
+    cycle_word = tuple(symbols[a] for a in tail_syms[split:])
+    return 1, (prefix_word, cycle_word)
+
+
+def _small_graphs():
+    """Every labeled graph with at most 2 vertices and 2 symbols, then a
+    seeded sample with at most 5 vertices and 3 symbols."""
+    for nv, ns in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        syms = "ab"[:ns]
+        slots = list(product(range(nv), range(nv), syms))
+        for bits in range(1, 1 << len(slots)):
+            yield syms, nv, [e for i, e in enumerate(slots) if bits >> i & 1]
+    rng = random.Random(20260)
+    for _ in range(1500):
+        nv, ns = rng.randint(1, 5), rng.randint(1, 3)
+        syms = "abc"[:ns]
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice(syms))
+            for _ in range(rng.randint(1, 3 * nv))
+        }
+        yield syms, nv, sorted(edges)
+
+
+def test_point_counts_match_per_tset_reference():
+    compared = unique = identity_in_s = looped_identity = 0
+    for syms, nv, edges in _small_graphs():
+        try:
+            g = to_labeled_graph(Presentation.labeled_graph(syms, nv, edges))
+        except EmptyShift:
+            continue
+        monoid = MonoidGraph(g)
+        got = _point_counts(monoid)
+        tsets = realized_tsets(monoid)
+        assert sorted(got) == list(tsets)
+        for t in tsets:
+            want = _count_points_with_tset(monoid, t)
+            assert got[t] == want, (syms, nv, edges, t)
+            compared += 1
+            unique += want[0] == 1
+            identity_in_s += monoid.doms[0] == t
+        looped_identity += any(0 in row for row in monoid.step)
+    assert compared > 1000 and unique > 300
+    assert identity_in_s > 0 and looped_identity > 0
+
+
+def _brute_covers(elements):
+    sets = [frozenset(e) for e in elements]
+    return sorted(
+        (i, j)
+        for i, a in enumerate(sets)
+        for j, b in enumerate(sets)
+        if a < b and not any(a < c < b for c in sets)
+    )
+
+
+def test_ideal_covers_match_cubic_scan():
+    rng = random.Random(4)
+    presentations = [
+        Presentation.sft(
+            tuple("abcdef"[:n]), [[int(i == j) for j in range(n)] for i in range(n)]
+        )
+        for n in (5, 6)
+    ]
+    while len(presentations) < 14:
+        # a fixed point per symbol plus random forward edges: a poset of
+        # classes, so the lattices branch
+        n = rng.randint(3, 6)
+        matrix = [
+            [int(i == j or (i < j and rng.random() < 0.3)) for j in range(n)]
+            for i in range(n)
+        ]
+        presentations.append(Presentation.sft(tuple("abcdef"[:n]), matrix))
+    while len(presentations) < 40:
+        nv = rng.randint(2, 5)
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice("ab"))
+            for _ in range(rng.randint(2, 2 * nv))
+        }
+        presentations.append(Presentation.labeled_graph(("a", "b"), nv, sorted(edges)))
+    sizes = []
+    for pres in presentations:
+        try:
+            tw = build_tower(pres)
+        except EmptyShift:
+            continue
+        rep = ideal_lattice(tw)
+        assert list(rep.order) == _brute_covers(rep.elements), pres
+        sizes.append((len(rep.elements), len(rep.order)))
+    # identity SFTs: the Boolean lattice on n classes has n * 2^(n-1) covers
+    assert sizes[:2] == [(32, 80), (64, 192)]
+    assert len(sizes) > 20 and sum(e > 3 for e, _ in sizes) > 5

@@ -24,6 +24,7 @@ from shiftca.presentations import (
     language_upto,
     to_labeled_graph,
 )
+from shiftca.tower import build_tower
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
 EVEN = Presentation.labeled_graph(
@@ -148,11 +149,21 @@ def test_past_set_matches_brute_force(spec, level):
         got = calc.past_set(tset, level)
         want = brute_past_words(g, tset, level)
         assert [tuple(w) for w in got.words] == want
-        # the exact-length flag agrees with the word list
-        for k in range(level + 1):
-            assert calc.has_exact_length_word(tset, k) == any(
-                len(w) == k for w in want
-            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_specs, st.integers(0, 3))
+def test_tower_exact_past_flags_match_brute_force(spec, level):
+    try:
+        g = _graph_from_spec(spec)
+    except EmptyShift:
+        return
+    for cls in build_tower(g, max_level=0).level(level).classes:
+        for tset in cls.tsets:
+            want = brute_past_words(g, tset, level)
+            assert list(cls.has_exact_past) == [
+                any(len(w) == k for w in want) for k in range(level + 1)
+            ]
 
 
 @settings(max_examples=60, deadline=None)
