@@ -1,10 +1,14 @@
 """Exact integer linear algebra: Smith normal form, kernels, cokernels.
 
 Everything here works over plain Python integers (arbitrary precision); no
-floating point is ever involved.  The Smith routine is deterministic: the
-pivot is always the entry of smallest nonzero absolute value in the working
-submatrix, ties broken row-major, so identical inputs yield bit-identical
-decompositions across runs and platforms.
+floating point is ever involved.  One deterministic elimination serves every
+routine: the pivot is always the entry of smallest nonzero absolute value in
+the working submatrix, ties broken row-major, so identical inputs yield
+bit-identical results across runs and platforms.  ``cokernel`` and ``kernel``
+read the invariant factors off the transform-free elimination
+(``smith_form``); only ``smith`` also builds the unimodular transforms u and
+v, whose entries can grow far beyond those of the diagonal, and only
+``kernel_basis`` needs them.
 """
 
 from __future__ import annotations
@@ -118,24 +122,9 @@ class IntMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """u @ m @ v == d with u, v unimodular and d diagonal, each diagonal
-    entry nonnegative and dividing the next."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Nonzero diagonal entries, in divisibility order."""
-        out = []
-        for i in range(min(self.d.n_rows, self.d.n_cols)):
-            x = self.d.rows[i][i]
-            if x:
-                out.append(x)
-        return tuple(out)
+class _DiagonalGroups:
+    """Rank, cokernel and kernel read off ``shape`` and ``invariant_factors``
+    (the nonzero diagonal entries of a Smith normal form)."""
 
     @property
     def rank(self) -> int:
@@ -144,30 +133,143 @@ class SmithDecomposition:
     def cokernel(self) -> "AbelianGroup":
         """Z^rows / (column span of the decomposed matrix)."""
         torsion = tuple(x for x in self.invariant_factors if x > 1)
-        return AbelianGroup(self.d.n_rows - self.rank, torsion)
+        return AbelianGroup(self.shape[0] - self.rank, torsion)
 
     def kernel(self) -> "AbelianGroup":
         """Kernel of the decomposed matrix on column vectors; always free."""
-        return AbelianGroup(self.d.n_cols - self.rank)
+        return AbelianGroup(self.shape[1] - self.rank)
+
+
+@dataclass(frozen=True)
+class SmithForm(_DiagonalGroups):
+    """Invariant factors of an integer matrix of the given shape, without
+    the transforms that produce them."""
+
+    shape: tuple[int, int]
+    invariant_factors: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SmithDecomposition(_DiagonalGroups):
+    """u @ m @ v == d with u, v unimodular and d diagonal, each diagonal
+    entry nonnegative and dividing the next."""
+
+    u: IntMatrix
+    d: IntMatrix
+    v: IntMatrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.d.shape
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Nonzero diagonal entries, in divisibility order."""
+        return _diagonal(self.d.rows)
+
+
+def _diagonal(d: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Nonzero diagonal entries of a diagonal matrix given by its rows."""
+    diag = (row[i] for i, row in enumerate(d) if i < len(row))
+    return tuple(x for x in diag if x)
 
 
 def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
     """Smallest |nonzero| entry in the submatrix d[t:][t:], ties row-major."""
     best = None
-    best_abs = None
+    best_abs = 0
     for i in range(t, len(d)):
-        row = d[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x and (best_abs is None or abs(x) < best_abs):
-                best, best_abs = (i, j), abs(x)
-                if best_abs == 1:
-                    return best
+        sizes = [abs(x) for x in d[i][t:]]
+        x = min(filter(None, sizes), default=0)
+        if x and (not best_abs or x < best_abs):
+            best, best_abs = (i, t + sizes.index(x)), x
+            if x == 1:
+                break
     return best
 
 
+def _addmul_rows(rows: list[list[int]], src: list[int], qs: list[int]) -> None:
+    """rows[k] += qs[k] * src, over the nonzero entries of src."""
+    nonzero = [(j, x) for j, x in enumerate(src) if x]
+    for row, q in zip(rows, qs):
+        for j, x in nonzero:
+            row[j] += q * x
+
+
+def _addmul_cols(rows: list[list[int]], t: int, cols: list[int], qs: list[int]) -> None:
+    """Column cols[k] += qs[k] * column t, in the rows where column t is nonzero."""
+    for row in rows:
+        x = row[t]
+        if x:
+            for j, q in zip(cols, qs):
+                row[j] += q * x
+
+
+def _eliminate(
+    m: IntMatrix, transforms: bool
+) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
+    """Diagonalize m by unimodular row and column operations: the Smith
+    normal form d, and with ``transforms`` the u and v of u @ m @ v == d.
+
+    Before step t, rows and columns < t are diagonal already, so every
+    operation on d stays inside the active block (rows and columns >= t).
+    """
+    r, c = m.shape
+    d = [list(row) for row in m.rows]
+    u = [[int(i == j) for j in range(r)] for i in range(r)] if transforms else None
+    v = [[int(i == j) for j in range(c)] for i in range(c)] if transforms else None
+    for t in range(min(r, c)):
+        while True:
+            piv = _find_pivot(d, t)
+            if piv is None:
+                break
+            i, j = piv
+            if i != t:
+                d[t], d[i] = d[i], d[t]
+                if transforms:
+                    u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in d[t:] + (v if transforms else []):
+                    row[t], row[j] = row[j], row[t]
+            prow = d[t]
+            if prow[t] < 0:
+                prow[t:] = [-x for x in prow[t:]]
+                if transforms:
+                    u[t] = [-x for x in u[t]]
+            p = prow[t]
+            # Euclidean steps down column t and along row t: remainders in [0, p)
+            rows = [i for i in range(t + 1, r) if d[i][t]]
+            qs = [-(d[i][t] // p) for i in rows]
+            _addmul_rows([d[i] for i in rows], prow, qs)
+            if transforms:
+                _addmul_rows([u[i] for i in rows], u[t], qs)
+            cols = [j for j in range(t + 1, c) if prow[j]]
+            qs = [-(prow[j] // p) for j in cols]
+            _addmul_cols(d[t:], t, cols, qs)
+            if transforms:
+                _addmul_cols(v, t, cols, qs)
+            if any(d[i][t] for i in rows) or any(prow[j] for j in cols):
+                continue  # smaller entries appeared; re-pivot
+            # clean cross: check divisibility of the remaining block
+            if p == 1:
+                break
+            offender = next(
+                (i for i in range(t + 1, r) if any(x % p for x in d[i][t + 1:])),
+                None,
+            )
+            if offender is None:
+                break
+            # pull the bad row up, keep reducing
+            _addmul_rows([prow], d[offender], [1])
+            if transforms:
+                _addmul_rows([u[t]], u[offender], [1])
+        if piv is None:
+            break
+    return d, u, v
+
+
 def smith(m: IntMatrix) -> SmithDecomposition:
-    """Deterministic Smith normal form over the integers.
+    """Deterministic Smith normal form over the integers, with transforms.
 
     >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
     >>> s = smith(m)
@@ -177,85 +279,20 @@ def smith(m: IntMatrix) -> SmithDecomposition:
     True
     """
     r, c = m.shape
-    d = [list(row) for row in m.rows]
-    u = [list(row) for row in IntMatrix.identity(r).rows]
-    v = [list(row) for row in IntMatrix.identity(c).rows]
-
-    def swap_rows(i, k):
-        if i != k:
-            d[i], d[k] = d[k], d[i]
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        if j != k:
-            for row in d:
-                row[j], row[k] = row[k], row[j]
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    def addmul_row(dst, src, q):
-        # row dst += q * row src
-        drow, srow = d[dst], d[src]
-        for j in range(c):
-            drow[j] += q * srow[j]
-        du, su = u[dst], u[src]
-        for j in range(r):
-            du[j] += q * su[j]
-
-    def addmul_col(dst, src, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    for t in range(min(r, c)):
-        while True:
-            piv = _find_pivot(d, t)
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, r):
-                if d[i][t]:
-                    q = d[i][t] // p  # Euclidean: remainder in [0, p)
-                    addmul_row(i, t, -q)
-                    if d[i][t]:
-                        dirty = True
-            for j in range(t + 1, c):
-                if d[t][j]:
-                    q = d[t][j] // p
-                    addmul_col(j, t, -q)
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
-                continue  # smaller entries appeared; re-pivot
-            # clean cross: check divisibility of the remaining block
-            offender = None
-            for i in range(t + 1, r):
-                row = d[i]
-                for j in range(t + 1, c):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            addmul_row(t, offender, 1)  # pull the bad row up, keep reducing
-        if piv is None:
-            break
-
+    d, u, v = _eliminate(m, transforms=True)
     return SmithDecomposition(
         IntMatrix.from_rows(u, r), IntMatrix.from_rows(d, c), IntMatrix.from_rows(v, c)
     )
+
+
+def smith_form(m: IntMatrix) -> SmithForm:
+    """Invariant factors of m by the elimination of ``smith``, skipping u and v.
+
+    >>> smith_form(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors
+    (2, 4)
+    """
+    d, _, _ = _eliminate(m, transforms=False)
+    return SmithForm(m.shape, _diagonal(d))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -328,12 +365,12 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     >>> str(cokernel(IntMatrix.from_rows([[2]])))
     'Z/2'
     """
-    return smith(m).cokernel()
+    return smith_form(m).cokernel()
 
 
 def kernel(m: IntMatrix) -> AbelianGroup:
     """Kernel of m acting on column vectors; always free."""
-    return smith(m).kernel()
+    return smith_form(m).kernel()
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

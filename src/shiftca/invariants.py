@@ -20,11 +20,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotStabilized, TowerTooShallow, WrongKind
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith
+from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith_form
 from .presentations import Presentation
 from .tower import (
     Tower,
@@ -74,10 +75,10 @@ def k_groups(tw: Tower, allow_partial: bool = False) -> KGroupsReport:
                 "rerun with a larger level budget or allow_partial"
             )
         l = max(tw.top_level - 1, 1)
-        s = smith(matrix_B(tw, l))
+        s = smith_form(matrix_B(tw, l))
         return KGroupsReport(s.cokernel(), s.kernel(), exact=False, level=l)
     l = max(tw.stabilized_at, 1)  # B needs M_1, which needs level >= 1
-    s = smith(_stable_B(tw, l))
+    s = smith_form(_stable_B(tw, l))
     return KGroupsReport(s.cokernel(), s.kernel(), exact=True, level=l)
 
 
@@ -195,22 +196,40 @@ class CkOracleReport:
 
 
 def _is_primitive(m: IntMatrix) -> bool:
-    """Some power of m is entrywise positive (checked up to n^2 - 2n + 2)."""
+    """Some power of m is entrywise positive.
+
+    For a nonnegative matrix this holds iff the graph of its positive entries
+    is strongly connected and aperiodic: with BFS levels from vertex 0, the
+    gcd of level(u) + 1 - level(v) over all edges u -> v is the period.
+    """
     n = m.n_rows
     if n == 0:
         return False
-    bound = n * n - 2 * n + 2
-    power = m
-    for _ in range(max(bound, 1)):
-        if all(x > 0 for row in power.rows for x in row):
-            return True
-        power = power @ m
-        # entries only need to be compared with 0; clamp to keep them small
-        power = IntMatrix(
-            tuple(tuple(min(x, 1) for x in row) for row in power.rows),
-            power.n_cols,
-        )
-    return all(x > 0 for row in power.rows for x in row)
+    succ = [[j for j, x in enumerate(row) if x > 0] for row in m.rows]
+    pred = [[i for i, x in enumerate(col) if x > 0] for col in zip(*m.rows)]
+    level = _bfs_levels(succ)
+    if len(level) < n or len(_bfs_levels(pred)) < n:
+        return False
+    period = 0
+    for i, out in enumerate(succ):
+        for j in out:
+            period = math.gcd(period, level[i] + 1 - level[j])
+    return period == 1
+
+
+def _bfs_levels(adj: list[list[int]]) -> dict[int, int]:
+    """Distance from vertex 0 of every vertex reachable from it."""
+    level = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in adj[i]:
+                if j not in level:
+                    level[j] = level[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    return level
 
 
 def ck_oracle(p: Presentation) -> CkOracleReport:
@@ -247,7 +266,7 @@ def ck_oracle(p: Presentation) -> CkOracleReport:
     )
     imct = IntMatrix.identity(len(kept)) - c.transpose()
     names = tuple(tuple(p.alphabet.symbols[a] for a in ms) for ms in kept)
-    s = smith(imct)
+    s = smith_form(imct)
     return CkOracleReport(
         s.cokernel(), s.kernel(), c, names, _is_primitive(c)
     )

@@ -14,7 +14,8 @@ distinct nonzero relations, the edge for symbol a maps R_u to R_{u·a} — is
 the single combinatorial object behind realized T-sets, past sets, point
 counting, and the word-class bookkeeping of the conditions module.
 
-Vertex sets and relation rows are Python int bitmasks (bit v = vertex v).
+Vertex sets and relation rows or columns are Python int bitmasks (bit v =
+vertex v).
 """
 
 from __future__ import annotations
@@ -35,27 +36,6 @@ class RelationElement:
     source vertex: ``rows[v]`` is the set of endpoints of paths from v."""
 
     rows: tuple[int, ...]
-
-    @staticmethod
-    def identity(n: int) -> "RelationElement":
-        return RelationElement(tuple(1 << v for v in range(n)))
-
-    @staticmethod
-    def of_symbol(g: Graph, symbol_index: int) -> "RelationElement":
-        return RelationElement(g.symbol_relation_rows(symbol_index))
-
-    def compose(self, other: "RelationElement") -> "RelationElement":
-        """Relational composition: first self, then other."""
-        out = []
-        for row in self.rows:
-            acc = 0
-            rest = row
-            while rest:
-                w = (rest & -rest).bit_length() - 1
-                acc |= other.rows[w]
-                rest &= rest - 1
-            out.append(acc)
-        return RelationElement(tuple(out))
 
     @cached_property
     def dom(self) -> int:
@@ -84,42 +64,66 @@ class MonoidGraph:
     node reached from node i by composing with symbol a on the right, or None
     when the product is the zero relation.  Nodes are created in BFS order
     from the identity, symbols in alphabet order, so numbering is canonical.
+
+    ``nodes[i]`` stores the relation of node i by columns: bit v of
+    ``nodes[i][x]`` says the node's words lead from v to x.  Column x of
+    R·a is then the OR of the columns w of R over the a-labeled edges
+    w -> x, one OR per edge.
     """
 
     def __init__(self, g: Graph, cap: int = DEFAULT_MONOID_CAP):
         self.graph = g
-        n_sym = len(g.alphabet)
-        gens = [RelationElement.of_symbol(g, a) for a in range(n_sym)]
-        ident = RelationElement.identity(g.n_vertices)
-        self.nodes: list[RelationElement] = [ident]
-        index: dict[tuple[int, ...], int] = {ident.rows: 0}
+        n = g.n_vertices
+        # per symbol: (x, sources of the edges into x) for every target x
+        in_edges = []
+        for a in range(len(g.alphabet)):
+            sources: list[list[int]] = [[] for _ in range(n)]
+            for w, row in enumerate(g.symbol_relation_rows(a)):
+                for x in g.vertices_in(row):
+                    sources[x].append(w)
+            in_edges.append([(x, ws) for x, ws in enumerate(sources) if ws])
+        ident = tuple(1 << v for v in range(n))
+        self.nodes: list[tuple[int, ...]] = [ident]
+        doms = [(1 << n) - 1]
+        index: dict[tuple[int, ...], int] = {ident: 0}
         self.step: list[list[Optional[int]]] = []
         frontier = [0]
         while frontier:
             nxt = []
             for i in frontier:
+                cols = self.nodes[i]
                 row: list[Optional[int]] = []
-                for a in range(n_sym):
-                    prod = self.nodes[i].compose(gens[a])
-                    if prod.is_zero:
+                for edges in in_edges:
+                    prod = [0] * n
+                    dom = 0
+                    for x, ws in edges:
+                        acc = 0
+                        for w in ws:
+                            acc |= cols[w]
+                        prod[x] = acc
+                        dom |= acc
+                    if not dom:
                         row.append(None)
                         continue
-                    j = index.get(prod.rows)
+                    key = tuple(prod)
+                    j = index.get(key)
                     if j is None:
                         j = len(self.nodes)
                         if j >= cap:
                             raise MonoidBudgetExceeded(
                                 f"relation monoid exceeds cap {cap}"
                             )
-                        index[prod.rows] = j
-                        self.nodes.append(prod)
+                        index[key] = j
+                        self.nodes.append(key)
+                        doms.append(dom)
                         nxt.append(j)
                     row.append(j)
                 # step rows are appended in node order because BFS visits
                 # nodes in creation order
                 self.step.append(row)
             frontier = nxt
-        self._index = index
+        # domain of each node: the OR of its columns
+        self.doms: tuple[int, ...] = tuple(doms)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -141,11 +145,11 @@ class MonoidGraph:
             raise WordNotInLanguage(
                 f"word {self.graph.alphabet.format_word(word)!r} not admissible"
             )
-        return self.nodes[i]
-
-    @cached_property
-    def doms(self) -> tuple[int, ...]:
-        return tuple(r.dom for r in self.nodes)
+        cols = self.nodes[i]
+        return RelationElement(tuple(
+            sum(1 << x for x, col in enumerate(cols) if col >> v & 1)
+            for v in range(len(cols))
+        ))
 
     def successors(self, i: int) -> Iterable[int]:
         return (j for j in self.step[i] if j is not None)

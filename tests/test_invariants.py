@@ -1,12 +1,21 @@
 """K-groups, dimension groups, Bowen-Franks, and the collapsed-matrix oracle."""
 
+import random
+import time
+from itertools import product
+
 import pytest
 
 import shiftca.intlinalg
-import shiftca.invariants
 from shiftca.errors import NotStabilized, TowerTooShallow, WrongKind
-from shiftca.intlinalg import AbelianGroup
-from shiftca.invariants import bowen_franks, ck_oracle, dimension_group, k_groups
+from shiftca.intlinalg import AbelianGroup, IntMatrix
+from shiftca.invariants import (
+    _is_primitive,
+    bowen_franks,
+    ck_oracle,
+    dimension_group,
+    k_groups,
+)
 from shiftca.presentations import Presentation
 from shiftca.tower import build_tower
 
@@ -170,15 +179,15 @@ def test_matrix_only_invariants_reject_labeled_graphs():
 
 
 def test_one_smith_decomposition_per_group_pair(monkeypatch):
+    # each K0/K1 pair comes from one elimination, and it builds no transforms
     calls = []
-    real = shiftca.intlinalg.smith
+    real = shiftca.intlinalg._eliminate
 
-    def counting(m):
-        calls.append(m.shape)
-        return real(m)
+    def counting(m, transforms):
+        calls.append(transforms)
+        return real(m, transforms)
 
-    monkeypatch.setattr(shiftca.intlinalg, "smith", counting)
-    monkeypatch.setattr(shiftca.invariants, "smith", counting, raising=False)
+    monkeypatch.setattr(shiftca.intlinalg, "_eliminate", counting)
     for run in (
         lambda: ck_oracle(full_shift(3)),
         lambda: k_groups(build_tower(GOLDEN)),
@@ -186,4 +195,52 @@ def test_one_smith_decomposition_per_group_pair(monkeypatch):
     ):
         calls.clear()
         run()
-        assert len(calls) == 1
+        assert calls == [False]
+
+
+def _primitive_by_powers(m: IntMatrix) -> bool:
+    """Reference: the power iteration the graph test replaced, verbatim."""
+    n = m.n_rows
+    if n == 0:
+        return False
+    bound = n * n - 2 * n + 2
+    power = m
+    for _ in range(max(bound, 1)):
+        if all(x > 0 for row in power.rows for x in row):
+            return True
+        power = power @ m
+        # entries only need to be compared with 0; clamp to keep them small
+        power = IntMatrix(
+            tuple(tuple(min(x, 1) for x in row) for row in power.rows),
+            power.n_cols,
+        )
+    return all(x > 0 for row in power.rows for x in row)
+
+
+def test_primitivity_matches_power_iteration():
+    matrices = [
+        IntMatrix.from_rows([bits[i * n:(i + 1) * n] for i in range(n)], n)
+        for n in range(4)
+        for bits in product((0, 1), repeat=n * n)
+    ]
+    rng = random.Random(7207)
+    for _ in range(500):
+        n, density = rng.randint(1, 7), rng.random()
+        matrices.append(IntMatrix.from_rows(
+            [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        ))
+    verdicts = [_is_primitive(m) for m in matrices]
+    assert verdicts == [_primitive_by_powers(m) for m in matrices]
+    assert 100 < sum(verdicts) < len(matrices) - 100
+
+
+def test_oracle_on_large_reducible_matrix_is_fast():
+    n = 80
+    upper = Presentation.sft(
+        tuple(str(i) for i in range(n)),
+        tuple(tuple(int(i <= j) for j in range(n)) for i in range(n)),
+    )
+    start = time.perf_counter()
+    rep = ck_oracle(upper)
+    assert time.perf_counter() - start < 1.0
+    assert not rep.primitive

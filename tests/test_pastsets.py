@@ -5,12 +5,15 @@ enumerates candidate predecessor words one by one, sharing no code with
 the recursive calculator under test.
 """
 
+import random
+from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftca.errors import EmptyShift, WordNotInLanguage
+from shiftca.errors import EmptyShift, MonoidBudgetExceeded, WordNotInLanguage
 from shiftca.pastsets import (
     MonoidGraph,
     PastSetCalculator,
@@ -182,3 +185,139 @@ def test_pre_closure_of_relation_domains(spec):
             pre = calc.pre(t, a)
             if pre:
                 assert pre in doms
+
+
+# Reference: the row-wise relation monoid that the column-wise MonoidGraph
+# replaced, kept verbatim apart from its names.
+
+
+@dataclass(frozen=True)
+class _RowRelation:
+    rows: tuple[int, ...]
+
+    @staticmethod
+    def identity(n: int) -> "_RowRelation":
+        return _RowRelation(tuple(1 << v for v in range(n)))
+
+    @staticmethod
+    def of_symbol(g, symbol_index: int) -> "_RowRelation":
+        return _RowRelation(g.symbol_relation_rows(symbol_index))
+
+    def compose(self, other: "_RowRelation") -> "_RowRelation":
+        """Relational composition: first self, then other."""
+        out = []
+        for row in self.rows:
+            acc = 0
+            rest = row
+            while rest:
+                w = (rest & -rest).bit_length() - 1
+                acc |= other.rows[w]
+                rest &= rest - 1
+            out.append(acc)
+        return _RowRelation(tuple(out))
+
+    @property
+    def dom(self) -> int:
+        mask = 0
+        for v, row in enumerate(self.rows):
+            if row:
+                mask |= 1 << v
+        return mask
+
+    @property
+    def is_zero(self) -> bool:
+        return all(r == 0 for r in self.rows)
+
+
+class _RowwiseMonoid:
+    def __init__(self, g, cap: int = 1_000_000):
+        self.graph = g
+        n_sym = len(g.alphabet)
+        gens = [_RowRelation.of_symbol(g, a) for a in range(n_sym)]
+        ident = _RowRelation.identity(g.n_vertices)
+        self.nodes: list[_RowRelation] = [ident]
+        index: dict[tuple[int, ...], int] = {ident.rows: 0}
+        self.step: list[list[Optional[int]]] = []
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                row: list[Optional[int]] = []
+                for a in range(n_sym):
+                    prod = self.nodes[i].compose(gens[a])
+                    if prod.is_zero:
+                        row.append(None)
+                        continue
+                    j = index.get(prod.rows)
+                    if j is None:
+                        j = len(self.nodes)
+                        if j >= cap:
+                            raise MonoidBudgetExceeded(
+                                f"relation monoid exceeds cap {cap}"
+                            )
+                        index[prod.rows] = j
+                        self.nodes.append(prod)
+                        nxt.append(j)
+                    row.append(j)
+                # step rows are appended in node order because BFS visits
+                # nodes in creation order
+                self.step.append(row)
+            frontier = nxt
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def doms(self) -> tuple[int, ...]:
+        return tuple(r.dom for r in self.nodes)
+
+
+def _monoid_corpus():
+    """Every labeled graph with at most 2 vertices and 2 symbols, 500 seeded
+    random graphs with at most 6 vertices and 3 symbols, the forbidden-word
+    shifts 0^3..0^8 and the mod-16 and mod-24 gap graphs."""
+    for nv, ns in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        syms = "ab"[:ns]
+        slots = list(product(range(nv), range(nv), syms))
+        for bits in range(1, 1 << len(slots)):
+            edges = [e for i, e in enumerate(slots) if bits >> i & 1]
+            yield Presentation.labeled_graph(tuple(syms), nv, edges)
+    rng = random.Random(31013)
+    for _ in range(500):
+        nv = rng.randint(1, 6)
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice("abc"))
+            for _ in range(rng.randint(1, 3 * nv))
+        }
+        yield Presentation.labeled_graph(("a", "b", "c"), nv, sorted(edges))
+    for k in range(3, 9):
+        yield Presentation.forbidden_words(("0", "1"), [("0",) * k])
+    for k in (16, 24):
+        gap = [(0, 0, "0")] + [(i, (i + 1) % k, "1") for i in range(k)]
+        yield Presentation.labeled_graph(("0", "1"), k, gap)
+
+
+def test_columnwise_monoid_matches_rowwise_reference():
+    graphs = nodes = 0
+    for p in _monoid_corpus():
+        try:
+            g = to_labeled_graph(p)
+        except EmptyShift:
+            continue
+        got, want = MonoidGraph(g), _RowwiseMonoid(g)
+        assert len(got) == len(want)
+        assert got.step == want.step
+        assert got.doms == want.doms
+        # each node's relation, read back through the BFS word reaching it
+        word = {0: ()}
+        for i, row in enumerate(got.step):
+            for a, j in enumerate(row):
+                if j is not None and j not in word:
+                    word[j] = word[i] + (g.alphabet.symbols[a],)
+        for j, w in word.items():
+            assert got.relation_of_word(w).rows == want.nodes[j].rows
+        graphs += 1
+        nodes += len(got)
+    assert graphs > 500 and nodes > 10_000
+
