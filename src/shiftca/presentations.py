@@ -285,8 +285,8 @@ class Graph:
 
     This is the working form every algorithm consumes.  ``vertex_names`` maps
     the internal 0..n-1 indices back to whatever the source presentation
-    called the vertices (symbol strings for SFTs, block words for
-    forbidden-word inputs, original indices for explicit graphs).
+    called the vertices (symbol strings for SFTs, prefixes of forbidden
+    words for forbidden-word inputs, original indices for explicit graphs).
     """
 
     alphabet: Alphabet
@@ -379,10 +379,17 @@ def to_labeled_graph(p: Presentation) -> Graph:
     so sequences beginning with it are not represented; they contribute no
     past-set classes.
 
-    forbidden_words: higher-block recoding with block length
-    b = max(1, max forbidden length - 1); vertices are the forbidden-factor-
-    free b-blocks, with an edge u -> u[1:]+a labeled u[0] whenever the
-    (b+1)-block u+a is also factor-free.
+    forbidden_words: the prefix (Aho-Corasick) automaton of F.  Vertices are
+    the empty word and every proper prefix of a forbidden word, in shortlex
+    order, so the empty word is vertex 0; there are at most 1 + sum |w| of
+    them.  The edge q -> (longest suffix of q.a that is a vertex), labeled
+    a, exists iff no suffix of q.a is forbidden.  This is exact: after
+    reading u from vertex q, the current vertex p is the longest suffix of
+    q.u that is a vertex.  If the next symbol a completes a forbidden word
+    w, then w[:-1] is a suffix of q.u and a vertex, hence a suffix of p, so
+    w is a suffix of p.a and the edge is missing.  Every path therefore
+    reads an F-free sequence, and from the empty word every F-free sequence
+    is read.
 
     labeled_graph: taken as-is.  All three routes end with essentialization
     (vertices must have outgoing edges; starts without incoming edges are
@@ -401,43 +408,22 @@ def to_labeled_graph(p: Presentation) -> Graph:
         return _essentialize(alphabet, n, edges, names)
 
     if p.kind == "forbidden_words":
-        m = max((len(w) for w in p.forbidden), default=1)
-        b = max(1, m - 1)
         forb = set(p.forbidden)
-
-        def factor_free(word: Word) -> bool:
-            for i in range(len(word)):
-                for j in range(i + 1, len(word) + 1):
-                    if word[i:j] in forb:
-                        return False
-            return True
-
-        blocks: list[Word] = []
-        stack: list[Word] = [EPSILON]
-        # depth-first in alphabet order builds blocks in lexicographic order
-        while stack:
-            w = stack.pop()
-            if len(w) == b:
-                blocks.append(w)
-                continue
-            for s in reversed(alphabet.symbols):
-                w2 = w + (s,)
-                if factor_free(w2):
-                    stack.append(w2)
-        if not blocks:
-            raise EmptyShift("every block of the recoding length is forbidden")
-        index = {w: i for i, w in enumerate(blocks)}
+        states = sorted(
+            {EPSILON} | {w[:i] for w in p.forbidden for i in range(len(w))},
+            key=alphabet.sort_key,
+        )
+        index = {q: i for i, q in enumerate(states)}
         edges = []
-        for w in blocks:
-            for s in alphabet.symbols:
-                w2 = w + (s,)
-                if not factor_free(w2):
-                    continue
-                tail = w2[1:]
-                if tail in index:
-                    edges.append((index[w], index[tail], alphabet.index(w[0])))
-        names = [alphabet.format_word(w) for w in blocks]
-        return _essentialize(alphabet, len(blocks), edges, names)
+        for q in states:
+            for a, s in enumerate(alphabet.symbols):
+                qa = q + (s,)
+                suffixes = [qa[i:] for i in range(len(qa) + 1)]
+                if not any(u in forb for u in suffixes):
+                    target = next(u for u in suffixes if u in index)
+                    edges.append((index[q], index[target], a))
+        names = [alphabet.format_word(q) for q in states]
+        return _essentialize(alphabet, len(states), edges, names)
 
     if p.kind == "labeled_graph":
         edges = [(s, t, alphabet.index(a)) for (s, t, a) in p.edges]

@@ -1,0 +1,272 @@
+"""One shift, several presentations: every presentation-independent answer
+must agree.
+
+The forbidden-word route builds the prefix automaton of F.  The higher-block
+recoding it replaced is kept below, verbatim, as the reference it is checked
+against.  SFTs are also built as a matrix, as forbidden 2-blocks and as a
+labeled graph, and their 2- and 3-block conjugates must keep K0/K1.
+"""
+
+import random
+from itertools import combinations, product
+
+import pytest
+
+from shiftca import (
+    aperiodic_past,
+    build_tower,
+    condition_I,
+    condition_star,
+    dimension_group,
+    ideal_lattice,
+    irreducible_past,
+    k_groups,
+)
+from shiftca.cli import main
+from shiftca.errors import EmptyShift
+from shiftca.presentations import (
+    EPSILON,
+    Presentation,
+    Word,
+    _essentialize,
+    language,
+    to_labeled_graph,
+)
+
+
+def _block_recoding(p: Presentation):
+    """The higher-block recoding of a forbidden-word presentation, as
+    ``to_labeled_graph`` built it before the prefix automaton."""
+    alphabet = p.alphabet
+    m = max((len(w) for w in p.forbidden), default=1)
+    b = max(1, m - 1)
+    forb = set(p.forbidden)
+
+    def factor_free(word: Word) -> bool:
+        for i in range(len(word)):
+            for j in range(i + 1, len(word) + 1):
+                if word[i:j] in forb:
+                    return False
+        return True
+
+    blocks: list[Word] = []
+    stack: list[Word] = [EPSILON]
+    # depth-first in alphabet order builds blocks in lexicographic order
+    while stack:
+        w = stack.pop()
+        if len(w) == b:
+            blocks.append(w)
+            continue
+        for s in reversed(alphabet.symbols):
+            w2 = w + (s,)
+            if factor_free(w2):
+                stack.append(w2)
+    if not blocks:
+        raise EmptyShift("every block of the recoding length is forbidden")
+    index = {w: i for i, w in enumerate(blocks)}
+    edges = []
+    for w in blocks:
+        for s in alphabet.symbols:
+            w2 = w + (s,)
+            if not factor_free(w2):
+                continue
+            tail = w2[1:]
+            if tail in index:
+                edges.append((index[w], index[tail], alphabet.index(w[0])))
+    names = [alphabet.format_word(w) for w in blocks]
+    return _essentialize(alphabet, len(blocks), edges, names)
+
+
+def _answers(build):
+    """Every answer that does not depend on the presentation, or "empty"."""
+    try:
+        g = build()
+    except EmptyShift:
+        return "empty"
+    tw = build_tower(g)
+    lattice = ideal_lattice(tw)
+    return {
+        "m": [lv.m for lv in tw.levels],
+        "stabilized_at": tw.stabilized_at,
+        "k_groups": k_groups(tw).to_json_dict(),
+        "dimension_group": dimension_group(tw, k_max=3).to_json_dict(),
+        "conditions": [
+            check(tw).status
+            for check in (condition_I, condition_star, aperiodic_past, irreducible_past)
+        ],
+        "ideals": (lattice.elements, lattice.order),
+    }
+
+
+def _assert_same_as_block_recoding(p: Presentation):
+    want = _answers(lambda: _block_recoding(p))
+    assert _answers(lambda: to_labeled_graph(p)) == want, p.forbidden
+    return want
+
+
+def _contains_another(words) -> bool:
+    return any(u != w and any(w[i:i + len(u)] == u for i in range(len(w)))
+               for u in words for w in words)
+
+
+# -- forbidden words: prefix automaton against the block recoding ------------------
+
+
+def test_prefix_automaton_matches_block_recoding_on_short_binary_sets():
+    """Every set of at most two forbidden words of length <= 3 over {0, 1}."""
+    words = [w for k in (1, 2, 3) for w in product("01", repeat=k)]
+    sets = [()] + [(w,) for w in words] + list(combinations(words, 2))
+    assert len(sets) == 106
+    empty = sum(_assert_same_as_block_recoding(Presentation.forbidden_words("01", s)) == "empty"
+                for s in sets)
+    assert 0 < empty < len(sets)
+
+
+def _random_forbidden_sets(rng, count):
+    """Seeded sets over 1-3 symbols with words of length <= 6 (<= 5 over
+    three symbols, whose 3^5-block recoding takes about a second); every
+    third set holds a word together with a word that has it as a factor."""
+    for i in range(count):
+        syms = "abc"[: rng.randint(1, 3)]
+        longest = 6 if len(syms) < 3 else 5
+
+        def word(lo, hi):
+            return "".join(rng.choice(syms) for _ in range(rng.randint(lo, hi)))
+
+        words = [word(1, longest) for _ in range(rng.randint(1, 3))]
+        if i % 3 == 0:
+            inner = word(1, longest - 2)
+            words += [inner, word(0, 1) + inner + word(0, 1)]
+        yield Presentation.forbidden_words(syms, [tuple(w) for w in words])
+
+
+def test_prefix_automaton_matches_block_recoding_on_random_sets():
+    nested = empty = 0
+    for p in _random_forbidden_sets(random.Random(60601), 150):
+        nested += _contains_another(p.forbidden)
+        empty += _assert_same_as_block_recoding(p) == "empty"
+    assert nested >= 50 and 0 < empty < 150
+
+
+def test_zero_runs_match_block_recoding():
+    for k in range(3, 9):
+        p = Presentation.forbidden_words("01", [("0",) * k])
+        assert _assert_same_as_block_recoding(p)["m"] == list(range(1, k + 1)) + [k]
+
+
+def test_zero_run_12_is_a_12_state_automaton():
+    p = Presentation.forbidden_words("01", [("0",) * 12])
+    g = to_labeled_graph(p)
+    assert g.n_vertices == 12
+    assert g.vertex_names[:3] == ("", "0", "00")
+    tw = build_tower(p, monoid_cap=1000)
+    assert [lv.m for lv in tw.levels] == list(range(1, 13)) + [12]
+    assert tw.stabilized_at == 11
+    rep = k_groups(tw)
+    assert (str(rep.k0), str(rep.k1)) == ("Z/11", "0")
+
+
+def test_no_forbidden_word_is_the_one_vertex_full_shift():
+    g = to_labeled_graph(Presentation.forbidden_words(("a", "b"), []))
+    assert g.n_vertices == 1
+    assert g.edges == ((0, 0, 0), (0, 0, 1))
+    assert g.vertex_names == ("",)
+
+
+@pytest.mark.parametrize("forbidden", [["0", "1"], ["1", "00", "01"], ["00", "01", "10", "11"]])
+def test_forbidden_sets_without_points_are_empty(forbidden, tmp_path, capsys):
+    p = Presentation.forbidden_words("01", [tuple(w) for w in forbidden])
+    with pytest.raises(EmptyShift):
+        to_labeled_graph(p)
+    path = tmp_path / "empty.json"
+    path.write_text(p.to_json())
+    assert main(["kgroups", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# -- SFTs: matrix, forbidden 2-blocks, labeled graph, higher-block conjugates -----
+
+
+SFTS = [
+    ((1, 1), (1, 0)),                      # golden mean
+    ((1, 1), (1, 1)),                      # full 2-shift
+    ((1, 1), (0, 1)),                      # reducible, triangular
+    ((0, 1), (1, 0)),                      # one periodic orbit
+    ((1, 1, 1), (1, 1, 1), (1, 1, 1)),     # full 3-shift
+    ((0, 1, 1), (0, 1, 1), (0, 1, 0)),     # zero column
+    ((1, 1, 0), (0, 0, 1), (1, 0, 0)),
+]
+
+
+def _random_matrices(rng, count):
+    while count:
+        n = rng.randint(1, 4)
+        rows = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
+        if all(any(r) for r in rows):
+            count -= 1
+            yield rows
+
+
+def _sft(matrix):
+    return Presentation.sft("abcd"[: len(matrix)], matrix)
+
+
+def _as_forbidden_2_blocks(matrix):
+    """The forbidden 2-blocks of the matrix, plus every symbol whose column
+    is zero: the SFT route never emits such a symbol."""
+    syms = "abcd"[: len(matrix)]
+    n = len(matrix)
+    words = [(syms[i], syms[j]) for i in range(n) for j in range(n) if not matrix[i][j]]
+    words += [(syms[j],) for j in range(n) if not any(row[j] for row in matrix)]
+    return Presentation.forbidden_words(syms, words)
+
+
+def _as_labeled_graph(matrix):
+    """Vertex i emits i on its way to j when A(i, j) = 1.  Symbols with a
+    zero column get no edges, since the SFT route never emits them."""
+    syms = "abcd"[: len(matrix)]
+    n = len(matrix)
+    edges = [
+        (i, j, syms[i])
+        for i in range(n)
+        for j in range(n)
+        if matrix[i][j] and any(row[i] for row in matrix)
+    ]
+    return Presentation.labeled_graph(syms, n, edges)
+
+
+def _higher_block(matrix, n):
+    """The n-block presentation: one symbol per admissible n-block, u -> v
+    iff v extends u's overlap (Lind-Marcus 1.4)."""
+    blocks = language(_sft(matrix), n)
+    names = ["".join(b) for b in blocks]
+    return Presentation.sft(
+        names, [[int(u[1:] == v[:-1]) for v in blocks] for u in blocks]
+    )
+
+
+def _corpus():
+    yield from SFTS
+    yield from _random_matrices(random.Random(60602), 40)
+
+
+def test_sft_three_presentations_agree():
+    for matrix in _corpus():
+        want = _answers(lambda: to_labeled_graph(_sft(matrix)))
+        for other in (_as_forbidden_2_blocks(matrix), _as_labeled_graph(matrix)):
+            assert _answers(lambda: to_labeled_graph(other)) == want, (matrix, other.kind)
+
+
+def test_higher_block_conjugates_keep_k_groups():
+    checked = 0
+    for matrix in _corpus():
+        if not all(any(row[j] for row in matrix) for j in range(len(matrix))):
+            continue  # a zero column leaves points without a predecessor block
+        want = k_groups(build_tower(_sft(matrix))).to_json_dict()
+        for n in (2, 3):
+            got = k_groups(build_tower(_higher_block(matrix, n))).to_json_dict()
+            assert (got["k0"], got["k1"]) == (want["k0"], want["k1"]), (matrix, n)
+        checked += 1
+    assert checked >= 20
