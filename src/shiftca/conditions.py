@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import IllDefinedTransition, NotStabilized
+from .errors import IdealBudgetExceeded, IllDefinedTransition, NotStabilized
 from .pastsets import MonoidGraph, _trim_to_live
 from .presentations import Word
 from .tower import Tower
@@ -459,6 +459,22 @@ def _class_reachability(tw: Tower, lvl: int):
     return out, diameter
 
 
+def _first_uncovered(
+    reach: dict[int, dict[int, int]], m: int
+) -> tuple[Optional[tuple[int, int]], int]:
+    """The first (T-set, class) pair in sorted order whose class no word
+    reaches from the T-set, or None when every pair is covered, and the
+    largest minimal word length over the pairs before it."""
+    worst = 0
+    for t in sorted(reach):
+        best = reach[t]
+        for c in range(m):
+            if c not in best:
+                return (t, c), worst
+            worst = max(worst, best[c])
+    return None, worst
+
+
 def _recheck_unreachable(tw: Tower, source: int, target_class: int, lvl: int) -> None:
     """Second-opinion saturation with frozensets and raw edge scans."""
     edges = tw.graph.edges
@@ -498,19 +514,16 @@ def aperiodic_past(tw: Tower, level: Optional[int] = None) -> Verdict:
     lvl = _resolve_level(tw, level)
     reach, _ = _class_reachability(tw, lvl)
     m = tw.m(lvl)
-    worst = 0
-    for t in sorted(reach):
-        best = reach[t]
-        for c in range(m):
-            if c not in best:
-                _recheck_unreachable(tw, t, c, lvl)
-                cert = {
-                    "level": lvl,
-                    "source_tset": _vertex_names(tw, t),
-                    "unreached_class": c,
-                }
-                return Verdict("aperiodic", FAILS, None, cert)
-            worst = max(worst, best[c])
+    gap, worst = _first_uncovered(reach, m)
+    if gap is not None:
+        t, c = gap
+        _recheck_unreachable(tw, t, c, lvl)
+        cert = {
+            "level": lvl,
+            "source_tset": _vertex_names(tw, t),
+            "unreached_class": c,
+        }
+        return Verdict("aperiodic", FAILS, None, cert)
     cert = {"level": lvl, "pairs": len(reach) * m}
     return Verdict("aperiodic", HOLDS, worst, cert)
 
@@ -523,19 +536,16 @@ def irreducible_past(tw: Tower, level: Optional[int] = None) -> Verdict:
     lvl = _resolve_level(tw, level)
     reach, diameter = _class_reachability(tw, lvl)
     m = tw.m(lvl)
-    worst = 0
-    for t in sorted(reach):
-        best = reach[t]
-        for c in range(m):
-            if c not in best:
-                cert = {
-                    "level": lvl,
-                    "source_tset": _vertex_names(tw, t),
-                    "unreached_class": c,
-                    "note": "reachability is sufficient, not necessary",
-                }
-                return Verdict("irreducible", INCONCLUSIVE, diameter, cert)
-            worst = max(worst, best[c])
+    gap, worst = _first_uncovered(reach, m)
+    if gap is not None:
+        t, c = gap
+        cert = {
+            "level": lvl,
+            "source_tset": _vertex_names(tw, t),
+            "unreached_class": c,
+            "note": "reachability is sufficient, not necessary",
+        }
+        return Verdict("irreducible", INCONCLUSIVE, diameter, cert)
     cert = {
         "level": lvl,
         "pairs": len(reach) * m,
@@ -578,13 +588,19 @@ _READING_NOTE = (
 )
 
 
+#: Largest ideal lattice ``ideal_lattice`` enumerates; the lattice of m
+#: mutually unreachable classes has 2^m elements.
+IDEAL_CAP = 65_536
+
+
 def ideal_lattice(tw: Tower, level: Optional[int] = None) -> IdealLatticeReport:
     """Enumerate shift-invariant unions of stabilized classes.
 
     Dropping the leading symbol of a point with T-set pre_a(t) yields a
     point with T-set t, so invariance of a union S of classes means: every
     successor class of a member is a member.  Elements are generated as
-    unions of principal successor-closures.
+    unions of principal successor-closures.  Raises
+    :class:`IdealBudgetExceeded` past ``IDEAL_CAP`` elements.
     """
     lvl = _resolve_level(tw, level)
     calc = tw.calc
@@ -617,6 +633,11 @@ def ideal_lattice(tw: Tower, level: Optional[int] = None) -> IdealLatticeReport:
             u = e | closures[c]
             if u not in elements:
                 elements.add(u)
+                if len(elements) > IDEAL_CAP:
+                    raise IdealBudgetExceeded(
+                        f"ideal lattice of {m} classes at level {lvl} has more "
+                        f"than {IDEAL_CAP} elements"
+                    )
                 work.append(u)
     ordered = sorted(elements, key=lambda e: (len(e), sorted(e)))
     index = {e: i for i, e in enumerate(ordered)}

@@ -70,6 +70,10 @@ class DepthTooLarge(BudgetError):
     pass
 
 
+class IdealBudgetExceeded(BudgetError):
+    """The ideal lattice has more elements than ``IDEAL_CAP``."""
+
+
 class TowerTooShallow(BudgetError):
     """The tower did not stabilize within the level budget."""
 

@@ -1,14 +1,13 @@
-"""Exact integer linear algebra: Smith normal form, kernels, cokernels.
+"""Exact integer linear algebra: invariant factors, kernels, cokernels.
 
 Everything here works over plain Python integers (arbitrary precision); no
-floating point is ever involved.  One deterministic elimination serves every
-routine: the pivot is always the entry of smallest nonzero absolute value in
-the working submatrix, ties broken row-major, so identical inputs yield
-bit-identical results across runs and platforms.  ``cokernel`` and ``kernel``
-read the invariant factors off the transform-free elimination
-(``smith_form``); only ``smith`` also builds the unimodular transforms u and
-v, whose entries can grow far beyond those of the diagonal, and only
-``kernel_basis`` needs them.
+floating point is ever involved.  K0, K1 and the Bowen-Franks group are the
+cokernel and kernel of an integer matrix, so they need only its invariant
+factors (the nonzero diagonal of the Smith normal form), never the
+unimodular matrices that reach it.  One deterministic elimination
+computes them: the pivot is always the entry of smallest nonzero absolute
+value in the working submatrix, ties broken row-major, so identical inputs
+yield bit-identical results across runs and platforms.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ class IntMatrix:
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         ))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(c)) for _ in range(r)), c)
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -77,15 +72,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix(tuple(out), ocols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2))
-                  for r1, r2 in zip(self.rows, other.rows)),
-            self.n_cols,
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
@@ -107,71 +93,31 @@ class IntMatrix:
             len(col_idx),
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
-    def __str__(self) -> str:
-        if not self.rows:
-            return f"(0x{self.n_cols} matrix)"
-        w = max((len(str(x)) for r in self.rows for x in r), default=1)
-        return "\n".join(
-            "[" + " ".join(str(x).rjust(w) for x in r) + "]" for r in self.rows
-        )
 
+@dataclass(frozen=True)
+class SmithForm:
+    """Invariant factors of an integer matrix of the given shape: the
+    nonzero diagonal entries of its Smith normal form, each dividing the
+    next."""
 
-class _DiagonalGroups:
-    """Rank, cokernel and kernel read off ``shape`` and ``invariant_factors``
-    (the nonzero diagonal entries of a Smith normal form)."""
+    shape: tuple[int, int]
+    invariant_factors: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
 
     def cokernel(self) -> "AbelianGroup":
-        """Z^rows / (column span of the decomposed matrix)."""
+        """Z^rows / (column span of the matrix)."""
         torsion = tuple(x for x in self.invariant_factors if x > 1)
         return AbelianGroup(self.shape[0] - self.rank, torsion)
 
     def kernel(self) -> "AbelianGroup":
-        """Kernel of the decomposed matrix on column vectors; always free."""
+        """Kernel of the matrix on column vectors; always free."""
         return AbelianGroup(self.shape[1] - self.rank)
-
-
-@dataclass(frozen=True)
-class SmithForm(_DiagonalGroups):
-    """Invariant factors of an integer matrix of the given shape, without
-    the transforms that produce them."""
-
-    shape: tuple[int, int]
-    invariant_factors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition(_DiagonalGroups):
-    """u @ m @ v == d with u, v unimodular and d diagonal, each diagonal
-    entry nonnegative and dividing the next."""
-
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.d.shape
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Nonzero diagonal entries, in divisibility order."""
-        return _diagonal(self.d.rows)
-
-
-def _diagonal(d: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero diagonal entries of a diagonal matrix given by its rows."""
-    diag = (row[i] for i, row in enumerate(d) if i < len(row))
-    return tuple(x for x in diag if x)
 
 
 def _find_pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -205,19 +151,15 @@ def _addmul_cols(rows: list[list[int]], t: int, cols: list[int], qs: list[int]) 
                 row[j] += q * x
 
 
-def _eliminate(
-    m: IntMatrix, transforms: bool
-) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
-    """Diagonalize m by unimodular row and column operations: the Smith
-    normal form d, and with ``transforms`` the u and v of u @ m @ v == d.
+def _eliminate(m: IntMatrix) -> list[list[int]]:
+    """The Smith normal form d of m, by unimodular row and column operations
+    on a copy of m; the operations themselves are not recorded.
 
     Before step t, rows and columns < t are diagonal already, so every
-    operation on d stays inside the active block (rows and columns >= t).
+    operation stays inside the active block (rows and columns >= t).
     """
     r, c = m.shape
     d = [list(row) for row in m.rows]
-    u = [[int(i == j) for j in range(r)] for i in range(r)] if transforms else None
-    v = [[int(i == j) for j in range(c)] for i in range(c)] if transforms else None
     for t in range(min(r, c)):
         while True:
             piv = _find_pivot(d, t)
@@ -226,28 +168,20 @@ def _eliminate(
             i, j = piv
             if i != t:
                 d[t], d[i] = d[i], d[t]
-                if transforms:
-                    u[t], u[i] = u[i], u[t]
             if j != t:
-                for row in d[t:] + (v if transforms else []):
+                for row in d[t:]:
                     row[t], row[j] = row[j], row[t]
             prow = d[t]
             if prow[t] < 0:
                 prow[t:] = [-x for x in prow[t:]]
-                if transforms:
-                    u[t] = [-x for x in u[t]]
             p = prow[t]
             # Euclidean steps down column t and along row t: remainders in [0, p)
             rows = [i for i in range(t + 1, r) if d[i][t]]
             qs = [-(d[i][t] // p) for i in rows]
             _addmul_rows([d[i] for i in rows], prow, qs)
-            if transforms:
-                _addmul_rows([u[i] for i in rows], u[t], qs)
             cols = [j for j in range(t + 1, c) if prow[j]]
             qs = [-(prow[j] // p) for j in cols]
             _addmul_cols(d[t:], t, cols, qs)
-            if transforms:
-                _addmul_cols(v, t, cols, qs)
             if any(d[i][t] for i in rows) or any(prow[j] for j in cols):
                 continue  # smaller entries appeared; re-pivot
             # clean cross: check divisibility of the remaining block
@@ -261,65 +195,20 @@ def _eliminate(
                 break
             # pull the bad row up, keep reducing
             _addmul_rows([prow], d[offender], [1])
-            if transforms:
-                _addmul_rows([u[t]], u[offender], [1])
         if piv is None:
             break
-    return d, u, v
-
-
-def smith(m: IntMatrix) -> SmithDecomposition:
-    """Deterministic Smith normal form over the integers, with transforms.
-
-    >>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    >>> s = smith(m)
-    >>> s.invariant_factors
-    (2, 4)
-    >>> (s.u @ m @ s.v).rows == s.d.rows
-    True
-    """
-    r, c = m.shape
-    d, u, v = _eliminate(m, transforms=True)
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, r), IntMatrix.from_rows(d, c), IntMatrix.from_rows(v, c)
-    )
+    return d
 
 
 def smith_form(m: IntMatrix) -> SmithForm:
-    """Invariant factors of m by the elimination of ``smith``, skipping u and v.
+    """Invariant factors of m.
 
     >>> smith_form(IntMatrix.from_rows([[2, 4], [6, 8]])).invariant_factors
     (2, 4)
     """
-    d, _, _ = _eliminate(m, transforms=False)
-    return SmithForm(m.shape, _diagonal(d))
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = m.n_rows
-    if n != m.n_cols:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    d = _eliminate(m)
+    diag = (row[i] for i, row in enumerate(d) if i < len(row))
+    return SmithForm(m.shape, tuple(x for x in diag if x))
 
 
 @dataclass(frozen=True)
@@ -371,14 +260,3 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
 def kernel(m: IntMatrix) -> AbelianGroup:
     """Kernel of m acting on column vectors; always free."""
     return smith_form(m).kernel()
-
-
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns spanning ker(m) (a primitive lattice basis): the columns of V
-    whose image under m is the zero column of D."""
-    s = smith(m)
-    zero_cols = [
-        j for j in range(m.n_cols)
-        if j >= min(m.n_rows, m.n_cols) or s.d.rows[j][j] == 0
-    ]
-    return s.v.submatrix(range(m.n_cols), zero_cols)

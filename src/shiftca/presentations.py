@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -449,6 +450,22 @@ def is_in_language(p: Presentation | Graph, word: Word) -> bool:
     return _end_set(g, word) != 0
 
 
+def word_layers(g: Graph) -> Iterator[list[Word]]:
+    """Admissible words layer by layer: layer k holds the words of length
+    exactly k, in shortlex order.  Lazy, so a caller that stops after layer
+    k never builds layer k + 1."""
+    layer: list[tuple[Word, int]] = [(EPSILON, g.full_mask)]
+    symbols = tuple(enumerate(g.alphabet.symbols))
+    while True:
+        yield [w for w, _ in layer]
+        layer = [
+            (w + (sym,), s2)
+            for w, s in layer
+            for i, sym in symbols
+            if (s2 := g.post(s, i))
+        ]
+
+
 def language(p: Presentation | Graph, k: int) -> list[Word]:
     """All admissible words of length exactly ``k``, in shortlex order.
 
@@ -459,35 +476,13 @@ def language(p: Presentation | Graph, k: int) -> list[Word]:
     if k < 0:
         raise InputFormatError("word length must be nonnegative")
     g = p if isinstance(p, Graph) else to_labeled_graph(p)
-    layer: list[tuple[Word, int]] = [(EPSILON, g.full_mask)]
-    for _ in range(k):
-        nxt: list[tuple[Word, int]] = []
-        for w, s in layer:
-            for i, sym in enumerate(g.alphabet.symbols):
-                s2 = g.post(s, i)
-                if s2:
-                    nxt.append((w + (sym,), s2))
-        layer = nxt
-    return [w for w, _ in layer]
+    return next(islice(word_layers(g), k, None))
 
 
 def language_upto(p: Presentation | Graph, k: int) -> list[Word]:
     """All admissible words of length at most ``k``, in shortlex order."""
     g = p if isinstance(p, Graph) else to_labeled_graph(p)
-    out: list[Word] = []
-    layer: list[tuple[Word, int]] = [(EPSILON, g.full_mask)]
-    for depth in range(k + 1):
-        out.extend(w for w, _ in layer)
-        if depth == k:
-            break
-        nxt: list[tuple[Word, int]] = []
-        for w, s in layer:
-            for i, sym in enumerate(g.alphabet.symbols):
-                s2 = g.post(s, i)
-                if s2:
-                    nxt.append((w + (sym,), s2))
-        layer = nxt
-    return out
+    return [w for layer in islice(word_layers(g), max(k + 1, 0)) for w in layer]
 
 
 def require_word_in_language(g: Graph, word: Word) -> None:

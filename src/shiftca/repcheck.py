@@ -37,6 +37,7 @@ preimage lists; a four-factor product is kept as its nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -49,6 +50,7 @@ from .presentations import (
     _end_set,
     language_upto,
     to_labeled_graph,
+    word_layers,
 )
 
 #: Largest word basis a truncation may enumerate.  Memory is linear in it:
@@ -167,23 +169,14 @@ def build_truncation(
     g = source if isinstance(source, Graph) else to_labeled_graph(source)
     words: list[Word] = []
     offsets = [0]
-    layer: list[tuple[Word, int]] = [((), g.full_mask)]
-    for ell in range(depth + 1):
-        words.extend(w for w, _ in layer)
+    # the cap is checked before the next layer is built
+    for layer in islice(word_layers(g), depth + 1):
+        words.extend(layer)
         offsets.append(len(words))
         if len(words) > basis_cap:
             raise DepthTooLarge(
                 f"depth {depth} needs more than {basis_cap} basis words"
             )
-        if ell == depth:
-            break
-        nxt: list[tuple[Word, int]] = []
-        for w, s in layer:
-            for i, sym in enumerate(g.alphabet.symbols):
-                s2 = g.post(s, i)
-                if s2:
-                    nxt.append((w + (sym,), s2))
-        layer = nxt
     return TruncatedRep(
         graph=g,
         presentation=presentation,

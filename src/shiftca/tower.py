@@ -90,14 +90,10 @@ class Tower:
         self.levels: list[TowerLevel] = []
         self.stabilized_at: Optional[int] = None
         self._class_maps: list[dict[int, int]] = []  # per level: tset -> class idx
-        self._blocks: list[frozenset[frozenset[int]]] = []
         self._exact: list[frozenset[int]] = []  # per k: T-sets with a length-k past
-        self._append_level(self._initial_partition())
+        self._append_level([list(self.tsets)])
 
     # -- construction ------------------------------------------------------
-
-    def _initial_partition(self) -> list[list[int]]:
-        return [list(self.tsets)]
 
     def _append_level(self, blocks: list[list[int]]) -> None:
         level = len(self.levels)
@@ -142,11 +138,12 @@ class Tower:
         self._class_maps.append(
             {t: c.index for c in classes for t in c.tsets}
         )
-        self._blocks.append(frozenset(frozenset(c.tsets) for c in classes))
+        # each signature starts with the current class, so level l refines
+        # level l - 1, and an equal class count means an equal partition
         if (
             self.stabilized_at is None
             and level > 0
-            and self._blocks[level] == self._blocks[level - 1]
+            and len(classes) == self.levels[level - 1].m
         ):
             self.stabilized_at = level - 1
 

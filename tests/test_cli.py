@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import shiftca.conditions
 from shiftca.cli import main
 from shiftca.presentations import Presentation
 
@@ -202,3 +203,17 @@ def test_json_output_is_deterministic(inputs, capsys):
         0, GOLDEN_CLASSES_JSON, ""
     )
 
+
+def test_ideals_over_budget_exit_two(capsys, tmp_path, monkeypatch):
+    n = 7
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    identity = Presentation.sft(tuple(str(i) for i in range(n)), matrix)
+    path = tmp_path / "identity7.json"
+    path.write_text(identity.to_json())
+    monkeypatch.setattr(shiftca.conditions, "IDEAL_CAP", 100)
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["ideals", "-i", str(path)] + extra)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ideal lattice of 7 classes at level 1 has more than 100 elements\n"
+        )

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import shiftca.conditions
 from shiftca.conditions import (
     Verdict,
     _point_counts,
@@ -14,7 +15,12 @@ from shiftca.conditions import (
     ideal_lattice,
     irreducible_past,
 )
-from shiftca.errors import EmptyShift, IllDefinedTransition
+from shiftca.errors import (
+    BudgetError,
+    EmptyShift,
+    IdealBudgetExceeded,
+    IllDefinedTransition,
+)
 from shiftca.pastsets import MonoidGraph, _trim_to_live, realized_tsets
 from shiftca.presentations import Presentation, to_labeled_graph
 from shiftca.tower import build_tower
@@ -442,3 +448,21 @@ def test_ideal_covers_match_cubic_scan():
     # identity SFTs: the Boolean lattice on n classes has n * 2^(n-1) covers
     assert sizes[:2] == [(32, 80), (64, 192)]
     assert len(sizes) > 20 and sum(e > 3 for e, _ in sizes) > 5
+
+
+def identity_sft(n):
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    return Presentation.sft(tuple(str(i) for i in range(n)), matrix)
+
+
+def test_ideal_lattice_stops_at_its_budget(monkeypatch):
+    # n mutually unreachable classes give 2^n ideals
+    assert len(ideal_lattice(build_tower(identity_sft(9))).elements) == 512
+    tw = build_tower(identity_sft(7))
+    assert len(ideal_lattice(tw).elements) == 128
+    monkeypatch.setattr(shiftca.conditions, "IDEAL_CAP", 127)
+    with pytest.raises(IdealBudgetExceeded, match="more than 127 elements") as err:
+        ideal_lattice(tw)
+    assert isinstance(err.value, BudgetError) and err.value.exit_code == 2
+    monkeypatch.setattr(shiftca.conditions, "IDEAL_CAP", 128)
+    assert len(ideal_lattice(tw).elements) == 128

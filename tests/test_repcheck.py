@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import shiftca.repcheck
 from shiftca.errors import DepthTooLarge, InputFormatError, WrongKind
 from shiftca.presentations import Presentation
 from shiftca.repcheck import (
@@ -39,6 +40,22 @@ def test_truncation_input_validation():
         build_truncation(GOLDEN, 0)
     with pytest.raises(DepthTooLarge):
         build_truncation(GOLDEN, 8, basis_cap=10)
+
+
+def test_basis_cap_fires_before_the_next_layer_is_built(monkeypatch):
+    # golden-mean layers hold 1, 2, 3, 5, ... words: 11 > 10 after layer 3
+    pulled = []
+    real = shiftca.repcheck.word_layers
+
+    def counting(g):
+        for layer in real(g):
+            pulled.append(len(layer))
+            yield layer
+
+    monkeypatch.setattr(shiftca.repcheck, "word_layers", counting)
+    with pytest.raises(DepthTooLarge):
+        build_truncation(GOLDEN, 8, basis_cap=10)
+    assert pulled == [1, 2, 3, 5]
 
 
 def test_empty_word_operator_is_identity():

@@ -1,8 +1,11 @@
 """Refinement tower: frozen level data, filtration maps, commuting squares."""
 
+import random
+from itertools import product
+
 import pytest
 
-from shiftca.errors import IllDefinedTransition, InputFormatError
+from shiftca.errors import EmptyShift, IllDefinedTransition, InputFormatError
 from shiftca.presentations import Presentation
 from shiftca.tower import (
     build_tower,
@@ -63,8 +66,9 @@ def test_full_shift_and_single_point_towers():
 
 def test_per_symbol_transition_matrices_sum():
     tw = build_tower(GOLDEN)
-    total = matrix_A(tw, 1, 0) + matrix_A(tw, 1, 1)
-    assert total.to_lists() == matrix_A(tw, 1).to_lists()
+    a0, a1 = matrix_A(tw, 1, 0).rows, matrix_A(tw, 1, 1).rows
+    total = [[x + y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)]
+    assert total == matrix_A(tw, 1).to_lists()
 
 
 def test_refinement_rows_are_unit_vectors():
@@ -91,6 +95,41 @@ def test_partition_stabilizes_permanently():
         assert partition_at(tw, l0 + 1) == base
         assert partition_at(tw, l0 + 2) == base
         stable_permutation(tw, l0)  # square, one 1 per row and column
+
+
+def _small_graphs():
+    """Every labeled graph with at most 2 vertices and 2 symbols, then 150
+    seeded random graphs with at most 5 vertices and 3 symbols."""
+    for nv, ns in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        syms = "ab"[:ns]
+        slots = list(product(range(nv), range(nv), syms))
+        for bits in range(1, 1 << len(slots)):
+            edges = [e for i, e in enumerate(slots) if bits >> i & 1]
+            yield Presentation.labeled_graph(tuple(syms), nv, edges)
+    rng = random.Random(5150)
+    for _ in range(150):
+        nv = rng.randint(1, 5)
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice("abc"))
+            for _ in range(rng.randint(1, 3 * nv))
+        }
+        yield Presentation.labeled_graph(("a", "b", "c"), nv, sorted(edges))
+
+
+def test_stabilized_at_is_the_first_repeated_partition():
+    towers = 0
+    for pres in _small_graphs():
+        try:
+            tw = build_tower(pres)
+        except EmptyShift:
+            continue
+        first = next(
+            l for l in range(tw.top_level)
+            if partition_at(tw, l + 1) == partition_at(tw, l)
+        )
+        assert tw.stabilized_at == first, pres
+        towers += 1
+    assert towers > 250
 
 
 def test_classes_sorted_by_past_encoding():
