@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .conditions import (
     Verdict,
@@ -33,7 +34,7 @@ from .conditions import (
     ideal_lattice,
     irreducible_past,
 )
-from .errors import InputFormatError, ShiftSpaceError
+from .errors import InputFormatError, ShiftSpaceError, WordBudgetExceeded
 from .invariants import (
     bowen_franks,
     ck_oracle,
@@ -60,6 +61,8 @@ from .tower import (
 )
 
 DUMP_SCHEMA = "shiftca-tower-v1"
+# past words one ``classes --json`` document may list, summed over its levels
+DUMP_WORD_CAP = 1 << 20
 DEFAULT_REPCHECK_DEPTH = 6
 
 
@@ -166,9 +169,20 @@ def _approx_exit(args, level: int) -> int:
 
 def tower_dump(tw: Tower) -> dict:
     """The ``classes --json`` document: every built level's counts, pasts
-    and matrices."""
+    and matrices.  Raises WordBudgetExceeded, before anything is rendered,
+    when the past lists would hold more than ``DUMP_WORD_CAP`` words."""
     alpha = tw.graph.alphabet
     top = tw.top_level
+    words = sum(
+        tw.automaton.count_words(c.tsets[0], l)
+        for l in range(top + 1)
+        for c in tw.levels[l].classes
+    )
+    if words > DUMP_WORD_CAP:
+        raise WordBudgetExceeded(
+            f"the tower dump would list {words} past words, "
+            f"more than {DUMP_WORD_CAP}"
+        )
     levels = []
     for l in range(top + 1):
         lv = tw.levels[l]
@@ -176,7 +190,10 @@ def tower_dump(tw: Tower) -> dict:
             {
                 "level": l,
                 "m": lv.m,
-                "classes": [c.past.render(alpha) for c in lv.classes],
+                "classes": [
+                    tw.calc.past_set(c.tsets[0], l).render(alpha)
+                    for c in lv.classes
+                ],
                 "M": [list(filtration_M(tw, l, k)) for k in range(1, l + 1)],
                 "I": matrix_I(tw, l).to_lists() if l < top else None,
                 "sum_A": matrix_A(tw, l).to_lists() if l < top else None,
@@ -213,12 +230,14 @@ def cmd_classes(args) -> int:
             print(f"not stabilized within {tw.top_level} levels")
         else:
             print(f"stabilized at {l0}")
-        final = tw.levels[l0 if l0 is not None else tw.top_level]
-        for i, c in enumerate(final.classes):
-            past = c.past.render(tw.graph.alphabet)
-            shown = ", ".join(repr(w) for w in past[:8])
-            if len(past) > 8:
-                shown += f", ... ({len(past)} words)"
+        final = l0 if l0 is not None else tw.top_level
+        alpha = tw.graph.alphabet
+        for i, c in enumerate(tw.levels[final].classes):
+            first = islice(tw.automaton.words(c.tsets[0], final), 8)
+            shown = ", ".join(repr(alpha.format_word(w)) for w in first)
+            count = tw.automaton.count_words(c.tsets[0], final)
+            if count > 8:
+                shown += f", ... ({count} words)"
             print(f"  class {i}: {{{shown}}}")
     if l0 is None:
         return _approx_exit(args, tw.top_level)

@@ -74,6 +74,10 @@ class IdealBudgetExceeded(BudgetError):
     """The ideal lattice has more elements than ``IDEAL_CAP``."""
 
 
+class WordBudgetExceeded(BudgetError):
+    """Rendering past sets would list more words than the cap allows."""
+
+
 class TowerTooShallow(BudgetError):
     """The tower did not stabilize within the level budget."""
 

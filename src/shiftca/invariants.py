@@ -133,7 +133,7 @@ def dimension_group(tw: Tower, k_max: int = 3) -> DimensionGroupReport:
     systems = []
     for k in range(k_max + 1):
         l = max(tw.stabilized_at, k + 1, 1)
-        tw.ensure_level(l + 2)
+        tw.ensure_level(l + 1)
         m_k = filtration_M(tw, l, k)
         m_k1 = filtration_M(tw, l, k + 1)
         m_k1_up = filtration_M(tw, l + 1, k + 1)

@@ -11,8 +11,14 @@ where Pre_u(t) applies the u-labeled edge relation backwards, one symbol at a
 time.  The finitely many word relations R_u (u ranging over admissible words)
 form a monoid under composition; its left-to-right Cayley graph — nodes are
 distinct nonzero relations, the edge for symbol a maps R_u to R_{u·a} — is
-the single combinatorial object behind realized T-sets, past sets, point
-counting, and the word-class bookkeeping of the conditions module.
+the single combinatorial object behind realized T-sets, point counting, and
+the word-class bookkeeping of the conditions module.
+
+Questions about the past words themselves (which of two T-sets owns the
+shortlex-least word the other lacks, how many words a past set holds, its
+first few words) run on :class:`PastAutomaton`, the forward subset automaton
+from the full vertex set, by tables over its states per word length; word
+lists are built only when a caller renders them (:class:`PastSetCalculator`).
 
 Vertex sets and relation rows or columns are Python int bitmasks (bit v =
 vertex v).
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import MonoidBudgetExceeded, WordNotInLanguage
 from .presentations import EPSILON, Graph, Word
@@ -267,6 +273,148 @@ def realized_tsets(monoid: MonoidGraph) -> tuple[int, ...]:
     return tuple(sorted(monoid.live_by_dom))
 
 
+class PastAutomaton:
+    """Forward subset automaton of a labeled graph, started at all vertices.
+
+    State s is a vertex set post*(V, u), the ends of the paths labeled by
+    some word u; state 0 is V (the empty word) and the empty set is no
+    state.  ``step[s][a]`` is the state reached by reading a, or -1.  A word
+    u is a past of a T-set t iff post*(V, u) meets t, so questions about the
+    past words of bounded length become path questions from state 0,
+    answered by one bitmask over states per word length (bit s = state s).
+    The state of u fixes the follower set of u (Lind–Marcus §3.2);
+    post*(V, u) is the range of R_u, so there are at most as many states as
+    monoid nodes.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        sets = [g.full_mask]
+        index = {g.full_mask: 0}
+        self.step: list[tuple[int, ...]] = []
+        # BFS, symbols in alphabet order, so numbering is canonical
+        for vset in sets:
+            row = []
+            for a in range(len(g.alphabet)):
+                nxt = g.post(vset, a)
+                if not nxt:
+                    row.append(-1)
+                    continue
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(sets)
+                    sets.append(nxt)
+                row.append(j)
+            self.step.append(tuple(row))
+        self.sets: tuple[int, ...] = tuple(sets)
+        into = [0] * len(sets)  # per state: the states with an edge into it
+        for s, row in enumerate(self.step):
+            for j in row:
+                if j >= 0:
+                    into[j] |= 1 << s
+        self._into = into
+        self._live: dict[int, list[int]] = {}
+        self._counts: list[list[int]] = [[1] + [0] * (len(sets) - 1)]
+
+    def pre(self, states: int) -> int:
+        """States with an edge into ``states``."""
+        acc = 0
+        while states:
+            low = states & -states
+            acc |= self._into[low.bit_length() - 1]
+            states ^= low
+        return acc
+
+    def live(self, tset: int, k: int) -> int:
+        """States from which some word of length k ends in a state meeting
+        ``tset``; bit 0 says ``tset`` has a past word of length k."""
+        rows = self._live.get(tset)
+        if rows is None:
+            meets = sum(1 << s for s, vset in enumerate(self.sets) if vset & tset)
+            rows = self._live[tset] = [meets]
+        while len(rows) <= k:
+            rows.append(self.pre(rows[-1]))
+        return rows[k]
+
+    def separating_word(self, t1: int, t2: int, level: int) -> Optional[list[int]]:
+        """Shortlex-least word of length <= ``level`` that is a past of
+        exactly one of t1 and t2, as symbol indices; None when the two past
+        sets agree up to the level."""
+        # sep[r]: states from which some length-r word separates t1 from t2
+        sep = [self.live(t1, 0) ^ self.live(t2, 0)]
+        while not sep[-1] & 1:
+            if len(sep) > level or not sep[-1]:
+                return None
+            sep.append(self.pre(sep[-1]))
+        word = []
+        s = 0
+        for r in range(len(sep) - 2, -1, -1):
+            a = next(
+                a for a, j in enumerate(self.step[s]) if j >= 0 and sep[r] >> j & 1
+            )
+            word.append(a)
+            s = self.step[s][a]
+        return word
+
+    def is_past(self, tset: int, word: Sequence[int]) -> bool:
+        """An admissible ``word`` is a past of ``tset``."""
+        s = 0
+        for a in word:
+            s = self.step[s][a]
+        return bool(self.sets[s] & tset)
+
+    def has_later_word(self, tset: int, word: Sequence[int]) -> bool:
+        """Some past word of ``tset`` of the same length as the admissible
+        ``word`` is lexicographically larger."""
+        s = 0
+        for i, a in enumerate(word):
+            want = self.live(tset, len(word) - i - 1)
+            row = self.step[s]
+            if any(j >= 0 and want >> j & 1 for j in row[a + 1:]):
+                return True
+            s = row[a]
+        return False
+
+    def count_words(self, tset: int, level: int) -> int:
+        """|P_level(tset)|: the words of length <= level from state 0 into a
+        state meeting ``tset``, counted per state and length."""
+        counts = self._counts
+        while len(counts) <= level:
+            nxt = [0] * len(self.sets)
+            for s, c in enumerate(counts[-1]):
+                if c:
+                    for j in self.step[s]:
+                        if j >= 0:
+                            nxt[j] += c
+            counts.append(nxt)
+        meets = self.live(tset, 0)
+        return sum(
+            c for k in range(level + 1)
+            for s, c in enumerate(counts[k]) if meets >> s & 1
+        )
+
+    def words(self, tset: int, level: int) -> Iterator[Word]:
+        """The past words of ``tset`` up to ``level`` in shortlex order,
+        lazily: a depth-first walk per length, pruned by :meth:`live`."""
+        syms = self.graph.alphabet.symbols
+        for k in range(level + 1):
+            if not self.live(tset, k) & 1:
+                continue
+            stack: list[tuple[int, Word]] = [(0, EPSILON)]
+            while stack:
+                s, w = stack.pop()
+                r = k - len(w)
+                if r == 0:
+                    yield w
+                    continue
+                want = self.live(tset, r - 1)
+                row = self.step[s]
+                for a in range(len(row) - 1, -1, -1):
+                    j = row[a]
+                    if j >= 0 and want >> j & 1:
+                        stack.append((j, w + (syms[a],)))
+
+
 @dataclass(frozen=True)
 class PastSet:
     """The words u (|u| <= level) that can be prepended to a point/word.
@@ -276,10 +424,6 @@ class PastSet:
 
     level: int
     words: tuple[Word, ...]
-
-    def encode(self, alphabet) -> tuple:
-        """Canonical comparison key: the shortlex-ordered key sequence."""
-        return tuple(alphabet.sort_key(w) for w in self.words)
 
     def render(self, alphabet) -> list[str]:
         return [alphabet.format_word(w) for w in self.words]

@@ -10,8 +10,17 @@ refinement over signatures
 
 The partition stabilizes after finitely many rounds; the level at which it
 first repeats is ``stabilized_at``.  Within a level, classes are sorted by
-their encoded past sets (shortlex words, lexicographic word lists), which is
-the canonical order every matrix below uses.
+their past sets, each a shortlex-sorted word list, compared
+lexicographically; this is the canonical order every matrix below uses.  No
+list is built.  Two sorted lists first differ at u, the shortlex-least word
+of their symmetric difference, and the side holding u sorts first — unless
+the other side has no word after u (none lexicographically larger of length
+|u|, none of any length up to the level), so that its list is a prefix of
+the first and sorts first instead.  u is found on the forward subset
+automaton of :class:`~shiftca.pastsets.PastAutomaton`: a table per length r
+of the states from which some length-r word separates the two T-sets, the
+least r whose table holds the start state, then a greedy descent to the
+lexicographically least such word.
 
 Matrices (all exact integer, rows indexed by the finer level):
 
@@ -30,14 +39,15 @@ exposed for the commuting-diagram contracts; see the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cmp_to_key
+from typing import Optional
 
 from .errors import IllDefinedTransition, InputFormatError
 from .intlinalg import IntMatrix
 from .pastsets import (
     DEFAULT_MONOID_CAP,
     MonoidGraph,
-    PastSet,
+    PastAutomaton,
     PastSetCalculator,
     realized_tsets,
 )
@@ -52,7 +62,6 @@ class PastClass:
 
     index: int
     tsets: tuple[int, ...]  # member T-set bitmasks, ascending
-    past: PastSet
     # entry k: some past word of length exactly k, by the recurrence
     # exact_k(t) = OR_a exact_{k-1}(Pre_a t) over the realized T-sets
     has_exact_past: tuple[bool, ...]
@@ -87,6 +96,7 @@ class Tower:
         self.monoid = monoid
         self.tsets: tuple[int, ...] = realized_tsets(monoid)
         self.calc = PastSetCalculator(graph)
+        self.automaton = PastAutomaton(graph)
         self.levels: list[TowerLevel] = []
         self.stabilized_at: Optional[int] = None
         self._class_maps: list[dict[int, int]] = []  # per level: tset -> class idx
@@ -109,14 +119,9 @@ class Tower:
                 t for t in self.tsets
                 if any(self.calc.pre(t, a) in prev for a in range(len(alph)))
             ))
-        decorated = []
+        flagged = []
         for members in blocks:
-            past = self.calc.past_set(members[0], level)
-            decorated.append((past.encode(alph), sorted(members), past))
-        decorated.sort(key=lambda x: (x[0], x[1]))
-        classes = []
-        parent: Optional[list[int]] = [] if level > 0 else None
-        for idx, (_, members, past) in enumerate(decorated):
+            members = sorted(members)
             flags = tuple(members[0] in self._exact[k] for k in range(level + 1))
             # members of one class agree on every flag up to the level
             for t in members[1:]:
@@ -124,7 +129,12 @@ class Tower:
                     raise IllDefinedTransition(
                         f"class members disagree on exact-length pasts at level {level}"
                     )
-            classes.append(PastClass(idx, tuple(members), past, flags))
+            flagged.append((members, flags))
+        flagged.sort(key=cmp_to_key(lambda x, y: self._compare_pasts(x, y, level)))
+        classes = []
+        parent: Optional[list[int]] = [] if level > 0 else None
+        for idx, (members, flags) in enumerate(flagged):
+            classes.append(PastClass(idx, tuple(members), flags))
             if parent is not None:
                 parents = {self._class_maps[level - 1][t] for t in members}
                 if len(parents) != 1:
@@ -146,6 +156,24 @@ class Tower:
             and len(classes) == self.levels[level - 1].m
         ):
             self.stabilized_at = level - 1
+
+    def _compare_pasts(self, x, y, level: int) -> int:
+        """-1 when class x's depth-``level`` past list sorts before y's; x
+        and y are (sorted members, exact-length flags)."""
+        auto = self.automaton
+        (tx, fx), (ty, fy) = x, y
+        u = auto.separating_word(tx[0], ty[0], level)
+        if u is None:
+            raise IllDefinedTransition(
+                f"two classes at level {level} have the same past set"
+            )
+        x_holds = auto.is_past(tx[0], u)
+        other, other_flags = (ty, fy) if x_holds else (tx, fx)
+        # the holder of u sorts first, unless the other list stops before u
+        other_goes_on = auto.has_later_word(other[0], u) or any(
+            other_flags[len(u) + 1:]
+        )
+        return -1 if x_holds == other_goes_on else 1
 
     def _refine_once(self) -> list[list[int]]:
         cmap = self._class_maps[-1]

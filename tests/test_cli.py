@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+import shiftca.cli
 import shiftca.conditions
 from shiftca.cli import main
+from shiftca.pastsets import PastSetCalculator
 from shiftca.presentations import Presentation
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
@@ -54,6 +56,46 @@ def test_classes_table(inputs, capsys):
         "  class 0: {'', '0'}",
         "  class 1: {'', '0', '1'}",
     ]
+
+
+def test_classes_table_builds_no_word_list(inputs, capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("word list built")
+
+    monkeypatch.setattr(PastSetCalculator, "words_of_set", refuse)
+    code, out, _ = run(capsys, ["classes", "-i", inputs["gm"]])
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "  class 0: {'', '0'}",
+        "  class 1: {'', '0', '1'}",
+    ]
+    path = tmp_path / "zeros24.json"
+    path.write_text(
+        Presentation.forbidden_words(("0", "1"), [("0",) * 24]).to_json()
+    )
+    code, out, _ = run(capsys, ["classes", "-i", str(path)])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[26:28] == [
+        "stabilized at 23",
+        "  class 0: {'', '0', '1', '00', '01', '10', '11', '000', "
+        "... (16777215 words)}",  # every word of length <= 23
+    ]
+    assert lines[-1] == (
+        "  class 23: {'', '1', '01', '11', '001', '011', '101', '111', "
+        "... (8388608 words)}"
+    )
+
+
+def test_classes_json_over_word_budget_exit_two(inputs, capsys, monkeypatch):
+    # the golden-mean document lists 1 + 5 + 10 = 16 past words
+    monkeypatch.setattr(shiftca.cli, "DUMP_WORD_CAP", 15)
+    code, out, err = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
+    assert (code, out) == (2, "")
+    assert err == "error: the tower dump would list 16 past words, more than 15\n"
+    monkeypatch.setattr(shiftca.cli, "DUMP_WORD_CAP", 16)
+    code, out, _ = run(capsys, ["classes", "-i", inputs["gm"], "--json"])
+    assert (code, out) == (0, GOLDEN_CLASSES_JSON)
 
 
 def test_check_failing_condition_still_exits_zero(inputs, capsys):

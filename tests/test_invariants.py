@@ -244,3 +244,39 @@ def test_oracle_on_large_reducible_matrix_is_fast():
     rep = ck_oracle(upper)
     assert time.perf_counter() - start < 1.0
     assert not rep.primitive
+
+
+def test_dimension_group_on_seeded_random_sft_is_fast():
+    # the word-list class order took 20-50 s and GBs on these SFTs
+    rng = random.Random(7)
+    n = 16
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        if all(any(r) for r in rows):
+            break
+    start = time.perf_counter()
+    tw = build_tower(Presentation.sft(tuple(f"s{i}" for i in range(n)), rows))
+    rep = dimension_group(tw, k_max=3)
+    assert time.perf_counter() - start < 5.0
+    assert tw.stabilized_at == 1 and tw.top_level == 5
+    assert [(s.k, s.level, s.rank) for s in rep.systems] == [
+        (0, 1, 16), (1, 2, 16), (2, 3, 16), (3, 4, 16)
+    ]
+
+
+def test_dimension_group_on_upper_triangular_n30():
+    # the word-list class order ran out of memory here; the stage maps
+    # follow the pattern of n = 6..12, where it still finished: A^T at
+    # k = 0 and A above, with identity projections
+    n = 30
+    rows = tuple(tuple(int(i <= j) for j in range(n)) for i in range(n))
+    start = time.perf_counter()
+    tw = build_tower(Presentation.sft(tuple(f"s{i}" for i in range(n)), rows))
+    rep = dimension_group(tw, k_max=3)
+    assert time.perf_counter() - start < 5.0
+    upper = [list(r) for r in rows]
+    lower = [list(c) for c in zip(*rows)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [s.map.to_lists() for s in rep.systems] == [lower, upper, upper, upper]
+    assert all(s.delta.to_lists() == ident for s in rep.systems)
+    assert [s.level for s in rep.systems] == [1, 2, 3, 4]

@@ -6,6 +6,9 @@ from itertools import product
 import pytest
 
 from shiftca.errors import EmptyShift, IllDefinedTransition, InputFormatError
+from shiftca.intlinalg import AbelianGroup
+from shiftca.invariants import k_groups
+from shiftca.pastsets import PastSetCalculator
 from shiftca.presentations import Presentation
 from shiftca.tower import (
     build_tower,
@@ -97,15 +100,20 @@ def test_partition_stabilizes_permanently():
         stable_permutation(tw, l0)  # square, one 1 per row and column
 
 
-def _small_graphs():
-    """Every labeled graph with at most 2 vertices and 2 symbols, then 150
-    seeded random graphs with at most 5 vertices and 3 symbols."""
+def _tiny_graphs():
+    """Every labeled graph with at most 2 vertices and 2 symbols."""
     for nv, ns in ((1, 1), (1, 2), (2, 1), (2, 2)):
         syms = "ab"[:ns]
         slots = list(product(range(nv), range(nv), syms))
         for bits in range(1, 1 << len(slots)):
             edges = [e for i, e in enumerate(slots) if bits >> i & 1]
             yield Presentation.labeled_graph(tuple(syms), nv, edges)
+
+
+def _small_graphs():
+    """The tiny graphs, then 150 seeded random graphs with at most 5
+    vertices and 3 symbols."""
+    yield from _tiny_graphs()
     rng = random.Random(5150)
     for _ in range(150):
         nv = rng.randint(1, 5)
@@ -132,12 +140,80 @@ def test_stabilized_at_is_the_first_repeated_partition():
     assert towers > 250
 
 
-def test_classes_sorted_by_past_encoding():
-    tw = build_tower(EVEN)
+def _reference_order(tw, l):
+    """Level l's classes (sorted members) in the order of the word-list sort
+    key: shortlex-sorted past words compared lexicographically, then sorted
+    members."""
     alpha = tw.graph.alphabet
-    for l in range(tw.top_level + 1):
-        keys = [c.past.encode(alpha) for c in tw.level(l).classes]
-        assert keys == sorted(keys)
+
+    def key(members):
+        words = tw.calc.words_of_set(members[0], l)
+        return (tuple(alpha.sort_key(w) for w in words), sorted(members))
+
+    return sorted((sorted(c.tsets) for c in tw.level(l).classes), key=key)
+
+
+def _order_corpus():
+    """The tiny graphs, 300 seeded random graphs with at most 6 vertices and
+    3 symbols, 0^3..0^10 and the mod-16/20/24 gap graphs."""
+    yield from _tiny_graphs()
+    rng = random.Random(8080)
+    for _ in range(300):
+        nv, syms = rng.randint(1, 6), "abc"[: rng.randint(1, 3)]
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice(syms))
+            for _ in range(rng.randint(1, 3 * nv))
+        }
+        yield Presentation.labeled_graph(tuple(syms), nv, sorted(edges))
+    for k in range(3, 11):
+        yield Presentation.forbidden_words(("0", "1"), [("0",) * k])
+    for k in (16, 20, 24):
+        gap = [(0, 0, "0")] + [(i, (i + 1) % k, "1") for i in range(k)]
+        yield Presentation.labeled_graph(("0", "1"), k, gap)
+
+
+def test_classes_sorted_by_past_encoding():
+    levels = 0
+    for pres in _order_corpus():
+        try:
+            tw = build_tower(pres, max_level=12)
+        except EmptyShift:
+            continue
+        prev = None
+        for l in range(tw.top_level + 1):
+            ref = _reference_order(tw, l)
+            lvl = tw.level(l)
+            assert [list(c.tsets) for c in lvl.classes] == ref, (pres, l)
+            if prev is not None:
+                owner = {t: j for j, members in enumerate(prev) for t in members}
+                assert lvl.parent == tuple(owner[m[0]] for m in ref), (pres, l)
+            prev = ref
+            levels += 1
+    assert levels > 1400
+
+
+def test_order_has_no_word_lists(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("word list built")
+
+    monkeypatch.setattr(PastSetCalculator, "words_of_set", refuse)
+    tw = build_tower(Presentation.forbidden_words(("0", "1"), [("0",) * 24]))
+    assert [lvl.m for lvl in tw.levels] == list(range(1, 25)) + [24]
+    assert tw.stabilized_at == 23
+    assert k_groups(tw).k0 == AbelianGroup(0, (23,))
+
+
+def test_automaton_counts_and_walks_match_word_lists():
+    for pres in _small_graphs():
+        try:
+            tw = build_tower(pres)
+        except EmptyShift:
+            continue
+        for t in tw.tsets:
+            for l in range(4):
+                words = tw.calc.words_of_set(t, l)
+                assert tw.automaton.count_words(t, l) == len(words)
+                assert tuple(tw.automaton.words(t, l)) == words
 
 
 def test_filtration_bounds_checked():
@@ -165,10 +241,10 @@ def test_length_filtration_can_exclude_classes():
     assert filtration_M(tw, 1, 1) == (1,)
     alpha = tw.graph.alphabet
     excluded = tw.level(1).classes[0]
-    assert excluded.past.render(alpha) == [""]
+    assert tw.calc.past_set(excluded.tsets[0], 1).render(alpha) == [""]
     assert excluded.has_exact_past == (True, False)
     kept = tw.level(1).classes[1]
-    assert kept.past.render(alpha) == ["", "a", "b"]
+    assert tw.calc.past_set(kept.tsets[0], 1).render(alpha) == ["", "a", "b"]
 
 
 def test_stable_permutation_rejects_unstabilized_level():
