@@ -78,6 +78,11 @@ class WordBudgetExceeded(BudgetError):
     """Rendering past sets would list more words than the cap allows."""
 
 
+class RelationBudgetExceeded(BudgetError):
+    """Relation checks would take more word pairs times basis words than
+    ``repcheck.RELATION_CAP``."""
+
+
 class TowerTooShallow(BudgetError):
     """The tower did not stabilize within the level budget."""
 

@@ -30,56 +30,177 @@ row; the honest statement lives on the column-collapsed matrix, which is
 what the zero ``S_j`` summands reproduce automatically on the rows we do
 check.  Skipped symbols are reported, never silently passed.
 
+No word is walked symbol by symbol.  Admissibility is read off the
+forward subset automaton from all vertices (:class:`SubsetAutomaton`):
+the state of ``u`` is post*(V, u), and it fixes the follower set of
+``u`` (Lind-Marcus 1995, section 3.2).  The basis is a trie stored as
+``parent``/``last``-symbol arrays and a ``child`` table, one layer per
+length, so every quantity that depends on a word extends its parent's
+value by one symbol, for a whole layer at once:
+
+* the basis: the children of a layer are the nonzero entries of the step
+  table on its states, in row-major order, which is shortlex order;
+* ``s_u``: ``state(w a) = step(state(w), a)`` from post*(V, u), and the
+  image of ``w a`` is ``child[image(w), a]``, or ``image(w)`` once that
+  image has length N; a dead state annihilates;
+* the projection expectation: the same state walk, from ``index(v)`` with
+  post*(V, u), over v's subtree only.  It reads the trie and the
+  automaton, never an operator array, so it does not share the machinery
+  it checks.
+
 Operators are ``int64`` partial-map arrays (-1 annihilates) with CSR
-preimage lists; a four-factor product is kept as its nonzero entries.
+preimage lists; a four-factor product is kept as its nonzero entries, on
+the interior columns its check compares and no others.
+
+The universal checks stop with :class:`RelationBudgetExceeded` (exit 2)
+before any operator is built when the number of word pairs times the
+basis size exceeds :data:`RELATION_CAP`; that product bounds both the
+work and the cached operator memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DepthTooLarge, InputFormatError, WrongKind
+from .errors import (
+    DepthTooLarge,
+    InputFormatError,
+    RelationBudgetExceeded,
+    WrongKind,
+)
 from .presentations import (
+    EPSILON,
     Graph,
     Presentation,
     Word,
-    _end_set,
     language_upto,
     to_labeled_graph,
-    word_layers,
 )
 
 #: Largest word basis a truncation may enumerate.  Memory is linear in it:
 #: products hold only their nonzeros, a bounded number per column.
 DEFAULT_BASIS_CAP = 200_000
 DEFAULT_WORD_BUDGET = 4
+#: Largest (word pairs) x (basis words) the universal checks accept; the
+#: full 6-shift at depth 4 and word budget 4 needs 7 465 x 1 555.
+RELATION_CAP = 1 << 24
+
+DEAD = 0  # state of every inadmissible word: the empty vertex set
+START = 1  # state of the empty word: the full vertex set
 
 
-@dataclass
+class SubsetAutomaton:
+    """Forward subset automaton of a labeled graph from all vertices,
+    expanded on demand.
+
+    ``sets[s]`` is the vertex set post*(V, u) of the words u in state s.
+    The step table is ``int64`` with one column per symbol; its row
+    :data:`DEAD` maps every symbol to itself.  A row is computed the first
+    time a state is read, so a truncation pays only for the states its
+    words reach.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.sets = [0, g.full_mask]
+        self._ids = {0: DEAD, g.full_mask: START}
+        self._table = np.zeros((16, len(g.alphabet)), dtype=np.int64)
+        self._rows = 1  # rows below this are filled; the dead row is zeros
+
+    def _expand(self, states: np.ndarray) -> None:
+        if self._rows == len(self.sets):  # every known state has its row
+            return
+        need = int(states.max(initial=0)) + 1
+        while self._rows < need:
+            s = self._rows
+            if s == len(self._table):
+                self._table = np.concatenate([self._table, np.zeros_like(self._table)])
+            for a in range(self._table.shape[1]):
+                nxt = self.graph.post(self.sets[s], a)
+                j = self._ids.setdefault(nxt, len(self.sets))
+                if j == len(self.sets):
+                    self.sets.append(nxt)
+                self._table[s, a] = j
+            self._rows += 1
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """Step-table rows of ``states``."""
+        self._expand(states)
+        return self._table[states]
+
+    def step(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Elementwise successor of ``states[i]`` under ``symbols[i]``."""
+        self._expand(states)
+        return self._table[states, symbols]
+
+    def state_of(self, word: Word) -> int:
+        """State post*(V, word); :data:`DEAD` when ``word`` is inadmissible."""
+        s = np.array([START])
+        for sym in word:
+            s = self.step(s, np.array([self.graph.alphabet.index(sym)]))
+        return int(s[0])
+
+
+def trie_layers(auto: SubsetAutomaton) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Admissible words one length at a time, as ``(parent, last)`` arrays.
+
+    Words are numbered in graded shortlex order from 0, the empty word;
+    word i of a layer is word ``parent[i]`` followed by symbol ``last[i]``
+    (both -1 for the empty word).  Lazy, so a caller that stops after
+    layer k never builds layer k + 1.
+    """
+    parent, last, state = np.array([-1]), np.array([-1]), np.array([START])
+    start = 0  # number of the layer's first word
+    while True:
+        yield parent, last
+        rows = auto.rows(state)
+        parent, last = np.nonzero(rows != DEAD)  # row-major: shortlex
+        state = rows[parent, last]
+        parent += start
+        start += len(rows)
+
+
+@dataclass(eq=False)
 class TruncatedRep:
-    """Word basis of depth ``N`` plus cached operator matrices.
+    """Word basis of depth ``N`` as a trie, plus cached operator matrices.
 
-    ``words`` is graded shortlex; ``offsets[k]`` is the index of the
-    first word of length ``k`` (with a final sentinel), so the slice of
-    words of length at most ``k`` is ``words[:offsets[k + 1]]``.
+    The basis is graded shortlex; ``offsets[k]`` is the index of the first
+    word of length ``k`` (with a final sentinel), so the words of length at
+    most ``k`` are the indices below ``offsets[k + 1]``.  Word i > 0 is
+    word ``parent[i]`` followed by symbol index ``last[i]``;
+    ``child[i, a]`` is the index of word i followed by a, or -1 when that
+    word is inadmissible or longer than N.  ``parent`` is nondecreasing:
+    children are numbered in the order of their parents.
     """
 
     graph: Graph
     presentation: Optional[Presentation]
     depth: int
-    words: tuple[Word, ...]
     offsets: tuple[int, ...]
-    _index: dict = field(repr=False, compare=False)
-    _ops: dict = field(default_factory=dict, repr=False, compare=False)
-    _preims: dict = field(default_factory=dict, repr=False, compare=False)
+    parent: np.ndarray = field(repr=False)
+    last: np.ndarray = field(repr=False)
+    child: np.ndarray = field(repr=False)
+    automaton: SubsetAutomaton = field(repr=False)
+    _ops: dict = field(default_factory=dict, repr=False)
+    _preims: dict = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.parent)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The basis words themselves, for rendering and inspection."""
+        syms = self.graph.alphabet.symbols
+        words = [EPSILON]
+        for p, a in zip(self.parent[1:].tolist(), self.last[1:].tolist()):
+            words.append(words[p] + (syms[a],))
+        return tuple(words)
 
     def count_upto(self, max_len: int) -> int:
         """How many basis words have length at most ``max_len``."""
@@ -88,7 +209,13 @@ class TruncatedRep:
         return self.offsets[min(max_len, self.depth) + 1]
 
     def index_of(self, word: Word) -> int:
-        return self._index[word]
+        """Basis index of ``word``; KeyError when it is not a basis word."""
+        i = 0
+        for sym in word:
+            i = int(self.child[i, self.graph.alphabet.index(sym)])
+            if i < 0:
+                raise KeyError(word)
+        return i
 
     def _parse(self, word: Union[str, Word]) -> Word:
         if isinstance(word, str):
@@ -104,28 +231,19 @@ class TruncatedRep:
         cached = self._ops.get(w)
         if cached is not None:
             return cached
-        g = self.graph
-        start = g.full_mask
-        for sym in w:
-            start = g.post(start, g.alphabet.index(sym))
-            if not start:
-                break
         arr = np.full(self.size, -1, dtype=np.int64)
-        if start:
-            # reach[i] = end-vertex set of (word + basis word i); each
-            # basis word extends its own prefix, already in the basis.
-            reach = [0] * self.size
-            reach[0] = start
-            arr[0] = self._index[w[: self.depth]]
-            for i in range(1, self.size):
-                bw = self.words[i]
-                prev = reach[self._index[bw[:-1]]]
-                if not prev:
-                    continue
-                s = g.post(prev, g.alphabet.index(bw[-1]))
-                if s:
-                    reach[i] = s
-                    arr[i] = self._index[(w + bw)[: self.depth]]
+        start = self.automaton.state_of(w)
+        if start != DEAD:
+            state = np.empty(self.size, dtype=np.int64)
+            state[0] = start
+            arr[0] = self.index_of(w[: self.depth])
+            for k in range(1, self.depth + 1):
+                lo, hi = self.offsets[k], self.offsets[k + 1]
+                p, a = self.parent[lo:hi], self.last[lo:hi]
+                s = state[lo:hi] = self.automaton.step(state[p], a)
+                # the parents' images have length min(|w| + k - 1, N)
+                img = arr[p] if len(w) + k > self.depth else self.child[arr[p], a]
+                arr[lo:hi] = np.where(s != DEAD, img, -1)
         arr.setflags(write=False)
         self._ops[w] = arr
         return arr
@@ -167,23 +285,32 @@ def build_truncation(
         raise InputFormatError("truncation depth must be at least 1")
     presentation = source if isinstance(source, Presentation) else None
     g = source if isinstance(source, Graph) else to_labeled_graph(source)
-    words: list[Word] = []
+    auto = SubsetAutomaton(g)
+    parents: list[np.ndarray] = []
+    lasts: list[np.ndarray] = []
     offsets = [0]
     # the cap is checked before the next layer is built
-    for layer in islice(word_layers(g), depth + 1):
-        words.extend(layer)
-        offsets.append(len(words))
-        if len(words) > basis_cap:
+    for parent, last in islice(trie_layers(auto), depth + 1):
+        parents.append(parent)
+        lasts.append(last)
+        offsets.append(offsets[-1] + len(parent))
+        if offsets[-1] > basis_cap:
             raise DepthTooLarge(
                 f"depth {depth} needs more than {basis_cap} basis words"
             )
+    parent = np.concatenate(parents)
+    last = np.concatenate(lasts)
+    child = np.full((len(parent), len(g.alphabet)), -1, dtype=np.int64)
+    child[parent[1:], last[1:]] = np.arange(1, len(parent))
     return TruncatedRep(
         graph=g,
         presentation=presentation,
         depth=depth,
-        words=tuple(words),
         offsets=tuple(offsets),
-        _index={w: i for i, w in enumerate(words)},
+        parent=parent,
+        last=last,
+        child=child,
+        automaton=auto,
     )
 
 
@@ -243,17 +370,20 @@ def partial_isometry_product(
     outer: Union[str, Word],
     mid: Union[str, Word],
     inner: Union[str, Word],
+    hi: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzeros of ``s_outer s_mid^T s_mid s_inner^T`` as ``(rows, cols, counts)``.
 
     Entry ``(x, c)`` counts the pairs ``(y, z)`` with ``s_outer(y) = x``,
     ``s_mid(y) = s_mid(z)`` and ``s_inner(z) = c``; entries are row-major.
+    Only the columns ``c < hi`` are computed (all of them by default).
     """
     size = rep.size
+    hi = size if hi is None else hi
     mid_indptr, mid_data = rep.preimages(mid)
     inner_indptr, z = rep.preimages(inner)
-    cols = np.repeat(np.arange(size), np.diff(inner_indptr))
-    m = rep.operator(mid)[z]
+    cols = np.repeat(np.arange(hi), np.diff(inner_indptr[: hi + 1]))
+    m = rep.operator(mid)[z[: inner_indptr[hi]]]
     cols, m = cols[m >= 0], m[m >= 0]
     # expand each m into its preimage run mid_data[mid_indptr[m]:mid_indptr[m + 1]]
     lens = mid_indptr[m + 1] - mid_indptr[m]
@@ -315,26 +445,67 @@ def _composition_check(rep: TruncatedRep, u: Word, v: Word) -> RelationCheck:
     )
 
 
+def _projection_expected(rep: TruncatedRep, u: Word, v: Word) -> np.ndarray:
+    """Wanted diagonal of ``s_v s_u^T s_u s_v^T`` on its interior columns.
+
+    Entry w is 1 exactly when ``w = v w'`` and ``u w'`` is admissible: the
+    state of ``u w'`` is walked from post*(V, u) down v's subtree of the
+    trie, one layer at a time.
+    """
+    max_len = rep.depth - len(u) - max(len(v), 1)
+    expected = np.zeros(rep.count_upto(max_len), dtype=np.int64)
+    if len(v) > max_len:
+        return expected
+    lo = rep.index_of(v)
+    hi = lo + 1
+    states = np.array([rep.automaton.state_of(u)])
+    expected[lo] = states[0] != DEAD
+    for _ in range(len(v), max_len):
+        # v's descendants one layer down: the children of words lo..hi-1,
+        # contiguous because ``parent`` is nondecreasing
+        prev = lo
+        lo, hi = np.searchsorted(rep.parent, (lo, hi)).tolist()
+        states = rep.automaton.step(states[rep.parent[lo:hi] - prev], rep.last[lo:hi])
+        expected[lo:hi] = states != DEAD
+    return expected
+
+
 def _projection_check(rep: TruncatedRep, u: Word, v: Word) -> RelationCheck:
-    if v:
-        max_len = rep.depth - len(u) - len(v)
-    else:
-        max_len = rep.depth - len(u) - 1
-    dim = rep.count_upto(max_len)
-    expected = np.zeros(dim, dtype=np.int64)
-    for col in range(dim):
-        w = rep.words[col]
-        if w[: len(v)] != v:
-            continue
-        # expectation computed straight from the language, independent
-        # of the operator machinery the product ran on
-        if _end_set(rep.graph, u + w[len(v) :]):
-            expected[col] = 1
-    prod = partial_isometry_product(rep, v, u, v)
+    expected = _projection_expected(rep, u, v)
+    dim = len(expected)
+    prod = partial_isometry_product(rep, v, u, v, dim)
     witness = _diagonal_witness(rep, prod, expected, 0, dim)
     return RelationCheck(
         "projection", rep.render(u), rep.render(v), dim, witness is None, witness
     )
+
+
+def _pair_budget_check(rep: TruncatedRep, word_budget: int) -> None:
+    """Raise :class:`RelationBudgetExceeded` when the pairs with
+    ``|u| + |v| <= word_budget`` times the basis size exceed the cap.
+
+    Words are counted per length and automaton state, never listed, and
+    the pairs with ``|u| + |v| = k`` are added for k = 0, 1, ...: the loop
+    stops as soon as the sum is over.  Counts are clamped just above the
+    most pairs allowed, which keeps the verdict exact.
+    """
+    allowed = RELATION_CAP // rep.size
+    states, counts = np.array([START]), np.array([1.0])
+    layer: list[int] = []  # admissible words per length, clamped
+    pairs = 0
+    for k in range(word_budget + 1):
+        layer.append(min(int(counts.sum()), allowed + 1))
+        pairs += sum(layer[i] * layer[k - i] for i in range(k + 1))
+        if pairs > allowed:
+            raise RelationBudgetExceeded(
+                f"word budget {word_budget} gives more than {allowed} word "
+                f"pairs on a basis of {rep.size} words (relation checks cap "
+                f"pairs x basis words at {RELATION_CAP})"
+            )
+        rows = rep.automaton.rows(states)
+        p, a = np.nonzero(rows != DEAD)
+        states, where = np.unique(rows[p, a], return_inverse=True)
+        counts = np.minimum(np.bincount(where, weights=counts[p]), allowed + 1)
 
 
 def check_universal_relations(
@@ -345,19 +516,19 @@ def check_universal_relations(
     Pairs ``(u, v)`` range over admissible words with
     ``|u| + |v| <= word_budget``; each pair contributes one composition
     and one projection check on its interior block (possibly empty, then
-    the check is vacuous but still recorded).
+    the check is vacuous but still recorded).  Raises
+    :class:`RelationBudgetExceeded` before any operator is built when the
+    pair count times the basis size exceeds :data:`RELATION_CAP`.
     """
     if word_budget < 0:
         raise InputFormatError("word budget must be nonnegative")
-    if word_budget <= rep.depth:
-        pool = rep.words[: rep.count_upto(word_budget)]
-    else:
-        pool = tuple(language_upto(rep.graph, word_budget))
+    _pair_budget_check(rep, word_budget)
+    pool = language_upto(rep.graph, word_budget)  # shortlex, so by length
     checks: list[RelationCheck] = []
     for u in pool:
         for v in pool:
             if len(u) + len(v) > word_budget:
-                continue
+                break
             checks.append(_composition_check(rep, u, v))
             checks.append(_projection_check(rep, u, v))
     return RelationReport(
@@ -433,7 +604,7 @@ def check_ck_relations(
     for i in occurring:
         # S_i^T S_i, compared with sum_j A(i,j) S_j S_j^T off the empty word
         rhs_diag = sum((c for c, a in zip(preim_counts, mat[i]) if a), zero)
-        prod = partial_isometry_product(rep, (), (syms[i],), ())
+        prod = partial_isometry_product(rep, (), (syms[i],), (), adj_hi)
         witness = _diagonal_witness(rep, prod, rhs_diag[1:adj_hi], 1, adj_hi)
         checks.append(
             RelationCheck(

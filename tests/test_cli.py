@@ -8,6 +8,7 @@ import pytest
 
 import shiftca.cli
 import shiftca.conditions
+import shiftca.repcheck
 from shiftca.cli import main
 from shiftca.pastsets import PastSetCalculator
 from shiftca.presentations import Presentation
@@ -137,6 +138,20 @@ def test_repcheck_summary_line(inputs, capsys):
     code, out, _ = run(capsys, ["repcheck", "-i", inputs["gm"], "--depth", "6"])
     assert code == 0
     assert out == "all 167 relation checks passed (depth 6, basis 53)\n"
+
+
+def test_repcheck_over_relation_budget_exit_two(inputs, capsys, monkeypatch):
+    # golden mean, depth 6: 82 word pairs with |u| + |v| <= 4, basis 53
+    monkeypatch.setattr(shiftca.repcheck, "RELATION_CAP", 82 * 53 - 1)
+    code, out, err = run(capsys, ["repcheck", "-i", inputs["gm"], "--depth", "6"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: word budget 4 gives more than 81 word pairs on a basis of 53 "
+        "words (relation checks cap pairs x basis words at 4345)\n"
+    )
+    monkeypatch.setattr(shiftca.repcheck, "RELATION_CAP", 82 * 53)
+    code, out, _ = run(capsys, ["repcheck", "-i", inputs["gm"], "--depth", "6"])
+    assert (code, out) == (0, "all 167 relation checks passed (depth 6, basis 53)\n")
 
 
 def test_oracle_ck_line(inputs, capsys):

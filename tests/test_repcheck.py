@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 import shiftca.repcheck
-from shiftca.errors import DepthTooLarge, InputFormatError, WrongKind
+from shiftca.errors import (
+    DepthTooLarge,
+    InputFormatError,
+    RelationBudgetExceeded,
+    WrongKind,
+)
 from shiftca.presentations import Presentation
 from shiftca.repcheck import (
+    RELATION_CAP,
     build_truncation,
     check_ck_relations,
     check_universal_relations,
@@ -45,14 +51,14 @@ def test_truncation_input_validation():
 def test_basis_cap_fires_before_the_next_layer_is_built(monkeypatch):
     # golden-mean layers hold 1, 2, 3, 5, ... words: 11 > 10 after layer 3
     pulled = []
-    real = shiftca.repcheck.word_layers
+    real = shiftca.repcheck.trie_layers
 
-    def counting(g):
-        for layer in real(g):
-            pulled.append(len(layer))
-            yield layer
+    def counting(auto):
+        for parent, last in real(auto):
+            pulled.append(len(parent))
+            yield parent, last
 
-    monkeypatch.setattr(shiftca.repcheck, "word_layers", counting)
+    monkeypatch.setattr(shiftca.repcheck, "trie_layers", counting)
     with pytest.raises(DepthTooLarge):
         build_truncation(GOLDEN, 8, basis_cap=10)
     assert pulled == [1, 2, 3, 5]
@@ -235,3 +241,40 @@ def test_deep_truncation_checks_stay_sparse():
     assert r.size == 17_709
     assert check_universal_relations(r, word_budget=2).passed
     assert check_ck_relations(r).passed
+
+
+def test_relation_budget_stops_before_any_operator():
+    # all-ones upper-triangular n = 30: 635 376 pairs at word budget 4 on a
+    # basis of 5 456 words
+    n = 30
+    upper = Presentation.sft(
+        tuple(f"s{i}" for i in range(n)),
+        [[int(i <= j) for j in range(n)] for i in range(n)],
+    )
+    r = build_truncation(upper, 3)
+    assert r.size == 5456
+    with pytest.raises(RelationBudgetExceeded) as exc:
+        check_universal_relations(r, word_budget=4)
+    assert exc.value.exit_code == 2
+    assert r._ops == {}
+    assert str(exc.value) == (
+        f"word budget 4 gives more than {RELATION_CAP // 5456} word pairs on a "
+        f"basis of 5456 words (relation checks cap pairs x basis words at "
+        f"{RELATION_CAP})"
+    )
+    # the full 6-shift at depth 4 fits: 7 465 pairs x 1 555 words
+    full6 = Presentation.sft(tuple("abcdef"), [[1] * 6] * 6)
+    r = build_truncation(full6, 4)
+    assert r.size == 1555
+    shiftca.repcheck._pair_budget_check(r, 4)
+
+
+def test_relation_budget_counts_pairs_beyond_the_depth(monkeypatch):
+    # word budget 4 > depth 2: the pool reaches past the basis; golden mean
+    # words of length 0..4 number 1, 2, 3, 5, 8, so 82 pairs on 6 words
+    r = build_truncation(GOLDEN, 2)
+    monkeypatch.setattr(shiftca.repcheck, "RELATION_CAP", 82 * 6)
+    assert len(check_universal_relations(r, word_budget=4).checks) == 164
+    monkeypatch.setattr(shiftca.repcheck, "RELATION_CAP", 82 * 6 - 1)
+    with pytest.raises(RelationBudgetExceeded):
+        check_universal_relations(r, word_budget=4)
