@@ -191,7 +191,7 @@ def tower_dump(tw: Tower) -> dict:
                 "level": l,
                 "m": lv.m,
                 "classes": [
-                    tw.calc.past_set(c.tsets[0], l).render(alpha)
+                    [alpha.format_word(w) for w in tw.automaton.words(c.tsets[0], l)]
                     for c in lv.classes
                 ],
                 "M": [list(filtration_M(tw, l, k)) for k in range(1, l + 1)],

@@ -14,11 +14,12 @@ distinct nonzero relations, the edge for symbol a maps R_u to R_{u·a} — is
 the single combinatorial object behind realized T-sets, point counting, and
 the word-class bookkeeping of the conditions module.
 
-Questions about the past words themselves (which of two T-sets owns the
-shortlex-least word the other lacks, how many words a past set holds, its
-first few words) run on :class:`PastAutomaton`, the forward subset automaton
-from the full vertex set, by tables over its states per word length; word
-lists are built only when a caller renders them (:class:`PastSetCalculator`).
+Words themselves — the admissible words of the relation checks, and the
+past words of the tower (which of two T-sets owns the shortlex-least word
+the other lacks, how many words a past set holds, the words in shortlex
+order) — are enumerated on one object, :class:`SubsetAutomaton`, the
+forward subset automaton from the full vertex set; no other code lists
+them.
 
 Vertex sets and relation rows or columns are Python int bitmasks (bit v =
 vertex v).
@@ -26,41 +27,15 @@ vertex v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import MonoidBudgetExceeded, WordNotInLanguage
 from .presentations import EPSILON, Graph, Word
 
 DEFAULT_MONOID_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class RelationElement:
-    """Boolean vertex-to-vertex relation, stored as one bitmask row per
-    source vertex: ``rows[v]`` is the set of endpoints of paths from v."""
-
-    rows: tuple[int, ...]
-
-    @cached_property
-    def dom(self) -> int:
-        mask = 0
-        for v, row in enumerate(self.rows):
-            if row:
-                mask |= 1 << v
-        return mask
-
-    @cached_property
-    def ran(self) -> int:
-        acc = 0
-        for row in self.rows:
-            acc |= row
-        return acc
-
-    @property
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
 
 
 class MonoidGraph:
@@ -133,29 +108,6 @@ class MonoidGraph:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def node_of_word(self, word: Word) -> Optional[int]:
-        """Monoid node of a word, or None when its relation is zero."""
-        i = 0
-        alph = self.graph.alphabet
-        for s in word:
-            j = self.step[i][alph.index(s)]
-            if j is None:
-                return None
-            i = j
-        return i
-
-    def relation_of_word(self, word: Word) -> RelationElement:
-        i = self.node_of_word(word)
-        if i is None:
-            raise WordNotInLanguage(
-                f"word {self.graph.alphabet.format_word(word)!r} not admissible"
-            )
-        cols = self.nodes[i]
-        return RelationElement(tuple(
-            sum(1 << x for x, col in enumerate(cols) if col >> v & 1)
-            for v in range(len(cols))
-        ))
 
     def successors(self, i: int) -> Iterable[int]:
         return (j for j in self.step[i] if j is not None)
@@ -273,64 +225,108 @@ def realized_tsets(monoid: MonoidGraph) -> tuple[int, ...]:
     return tuple(sorted(monoid.live_by_dom))
 
 
-class PastAutomaton:
-    """Forward subset automaton of a labeled graph, started at all vertices.
+#: State of every inadmissible word: the empty vertex set.
+DEAD = 0
+#: State of the empty word: the full vertex set.
+START = 1
 
-    State s is a vertex set post*(V, u), the ends of the paths labeled by
-    some word u; state 0 is V (the empty word) and the empty set is no
-    state.  ``step[s][a]`` is the state reached by reading a, or -1.  A word
-    u is a past of a T-set t iff post*(V, u) meets t, so questions about the
-    past words of bounded length become path questions from state 0,
-    answered by one bitmask over states per word length (bit s = state s).
-    The state of u fixes the follower set of u (Lind–Marcus §3.2);
-    post*(V, u) is the range of R_u, so there are at most as many states as
-    monoid nodes.
+
+class SubsetAutomaton:
+    """Forward subset automaton of a labeled graph from all vertices.
+
+    State s is the vertex set ``sets[s]`` = post*(V, u), the ends of the
+    paths labeled by some word u; :data:`START` is V and :data:`DEAD` is
+    the empty set, which maps every symbol to itself.  The state of u fixes
+    the follower set of u (Lind–Marcus §3.2), and u is a past of a T-set t
+    iff post*(V, u) meets t.
+
+    The step table is ``int64`` with one column per symbol, and a row is
+    computed the first time a state is read (:meth:`rows`, :meth:`step`,
+    :meth:`state_of`), so a truncation pays only for the states its words
+    reach.  The past-word questions (:meth:`separating_word`,
+    :meth:`count_words`, :meth:`words`, ...) are path questions from
+    :data:`START`, answered by one bitmask over states per word length
+    (bit s = state s) on the full expansion.  post*(V, u) is the range of
+    R_u, so it has at most as many live states as the relation monoid has
+    nodes.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
-        sets = [g.full_mask]
-        index = {g.full_mask: 0}
-        self.step: list[tuple[int, ...]] = []
-        # BFS, symbols in alphabet order, so numbering is canonical
-        for vset in sets:
-            row = []
-            for a in range(len(g.alphabet)):
-                nxt = g.post(vset, a)
-                if not nxt:
-                    row.append(-1)
-                    continue
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(sets)
-                    sets.append(nxt)
-                row.append(j)
-            self.step.append(tuple(row))
-        self.sets: tuple[int, ...] = tuple(sets)
-        into = [0] * len(sets)  # per state: the states with an edge into it
-        for s, row in enumerate(self.step):
-            for j in row:
-                if j >= 0:
-                    into[j] |= 1 << s
-        self._into = into
+        self.sets = [0, g.full_mask]
+        self._ids = {0: DEAD, g.full_mask: START}
+        self._table = np.zeros((16, len(g.alphabet)), dtype=np.int64)
+        self._rows = 1  # rows below this are filled; the dead row is zeros
         self._live: dict[int, list[int]] = {}
-        self._counts: list[list[int]] = [[1] + [0] * (len(sets) - 1)]
+        self._counts: list[list[int]] = []
+
+    def _fill(self, need: int) -> None:
+        """Compute the rows of the states below ``need``."""
+        while self._rows < need:
+            s = self._rows
+            if s == len(self._table):
+                self._table = np.concatenate([self._table, np.zeros_like(self._table)])
+            for a in range(self._table.shape[1]):
+                nxt = self.graph.post(self.sets[s], a)
+                j = self._ids.setdefault(nxt, len(self.sets))
+                if j == len(self.sets):
+                    self.sets.append(nxt)
+                self._table[s, a] = j
+            self._rows += 1
+
+    def _expand(self, states: np.ndarray) -> None:
+        # no max() once every known state has its row: step is the hot path
+        if self._rows < len(self.sets):
+            self._fill(int(states.max(initial=0)) + 1)
+
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """Step-table rows of ``states``."""
+        self._expand(states)
+        return self._table[states]
+
+    def step(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+        """Elementwise successor of ``states[i]`` under ``symbols[i]``."""
+        self._expand(states)
+        return self._table[states, symbols]
+
+    def state_of(self, word: Word) -> int:
+        """State post*(V, word); :data:`DEAD` when ``word`` is inadmissible."""
+        s = np.array([START])
+        for sym in word:
+            s = self.step(s, np.array([self.graph.alphabet.index(sym)]))
+        return int(s[0])
+
+    @cached_property
+    def _full(self) -> tuple[list[list[int]], list[int]]:
+        """Every reachable state's step row as a list, and per state the
+        bitmask of the states with an edge into it."""
+        while self._rows < len(self.sets):
+            self._fill(len(self.sets))
+        step = self._table[: self._rows].tolist()
+        into = [0] * len(step)
+        for s, row in enumerate(step):
+            for j in row:
+                into[j] |= 1 << s
+        return step, into
 
     def pre(self, states: int) -> int:
         """States with an edge into ``states``."""
+        into = self._full[1]
         acc = 0
         while states:
             low = states & -states
-            acc |= self._into[low.bit_length() - 1]
+            acc |= into[low.bit_length() - 1]
             states ^= low
         return acc
 
     def live(self, tset: int, k: int) -> int:
         """States from which some word of length k ends in a state meeting
-        ``tset``; bit 0 says ``tset`` has a past word of length k."""
+        ``tset``; bit :data:`START` says ``tset`` has a past word of length
+        k."""
         rows = self._live.get(tset)
         if rows is None:
-            meets = sum(1 << s for s, vset in enumerate(self.sets) if vset & tset)
+            n = len(self._full[0])  # every state, once expanded
+            meets = sum(1 << s for s in range(n) if self.sets[s] & tset)
             rows = self._live[tset] = [meets]
         while len(rows) <= k:
             rows.append(self.pre(rows[-1]))
@@ -342,50 +338,53 @@ class PastAutomaton:
         sets agree up to the level."""
         # sep[r]: states from which some length-r word separates t1 from t2
         sep = [self.live(t1, 0) ^ self.live(t2, 0)]
-        while not sep[-1] & 1:
+        while not sep[-1] >> START & 1:
             if len(sep) > level or not sep[-1]:
                 return None
             sep.append(self.pre(sep[-1]))
+        step = self._full[0]
         word = []
-        s = 0
+        s = START
         for r in range(len(sep) - 2, -1, -1):
-            a = next(
-                a for a, j in enumerate(self.step[s]) if j >= 0 and sep[r] >> j & 1
-            )
+            a = next(a for a, j in enumerate(step[s]) if sep[r] >> j & 1)
             word.append(a)
-            s = self.step[s][a]
+            s = step[s][a]
         return word
 
     def is_past(self, tset: int, word: Sequence[int]) -> bool:
         """An admissible ``word`` is a past of ``tset``."""
-        s = 0
+        step = self._full[0]
+        s = START
         for a in word:
-            s = self.step[s][a]
+            s = step[s][a]
         return bool(self.sets[s] & tset)
 
     def has_later_word(self, tset: int, word: Sequence[int]) -> bool:
         """Some past word of ``tset`` of the same length as the admissible
         ``word`` is lexicographically larger."""
-        s = 0
+        step = self._full[0]
+        s = START
         for i, a in enumerate(word):
             want = self.live(tset, len(word) - i - 1)
-            row = self.step[s]
-            if any(j >= 0 and want >> j & 1 for j in row[a + 1:]):
+            row = step[s]
+            if any(want >> j & 1 for j in row[a + 1:]):
                 return True
             s = row[a]
         return False
 
     def count_words(self, tset: int, level: int) -> int:
-        """|P_level(tset)|: the words of length <= level from state 0 into a
-        state meeting ``tset``, counted per state and length."""
+        """|P_level(tset)|: the words of length <= level from :data:`START`
+        into a state meeting ``tset``, counted per state and length."""
+        step = self._full[0]
         counts = self._counts
+        if not counts:
+            counts.append([int(s == START) for s in range(len(step))])
         while len(counts) <= level:
-            nxt = [0] * len(self.sets)
+            nxt = [0] * len(step)
             for s, c in enumerate(counts[-1]):
                 if c:
-                    for j in self.step[s]:
-                        if j >= 0:
-                            nxt[j] += c
+                    for j in step[s]:
+                        nxt[j] += c
             counts.append(nxt)
         meets = self.live(tset, 0)
         return sum(
@@ -397,10 +396,11 @@ class PastAutomaton:
         """The past words of ``tset`` up to ``level`` in shortlex order,
         lazily: a depth-first walk per length, pruned by :meth:`live`."""
         syms = self.graph.alphabet.symbols
+        step = self._full[0]
         for k in range(level + 1):
-            if not self.live(tset, k) & 1:
+            if not self.live(tset, k) >> START & 1:
                 continue
-            stack: list[tuple[int, Word]] = [(0, EPSILON)]
+            stack: list[tuple[int, Word]] = [(START, EPSILON)]
             while stack:
                 s, w = stack.pop()
                 r = k - len(w)
@@ -408,41 +408,17 @@ class PastAutomaton:
                     yield w
                     continue
                 want = self.live(tset, r - 1)
-                row = self.step[s]
+                row = step[s]
                 for a in range(len(row) - 1, -1, -1):
-                    j = row[a]
-                    if j >= 0 and want >> j & 1:
-                        stack.append((j, w + (syms[a],)))
-
-
-@dataclass(frozen=True)
-class PastSet:
-    """The words u (|u| <= level) that can be prepended to a point/word.
-
-    ``words`` is shortlex-sorted and always contains the empty word.
-    """
-
-    level: int
-    words: tuple[Word, ...]
-
-    def render(self, alphabet) -> list[str]:
-        return [alphabet.format_word(w) for w in self.words]
-
-    def __contains__(self, word: Word) -> bool:
-        return word in set(self.words)
+                    if want >> row[a] & 1:
+                        stack.append((row[a], w + (syms[a],)))
 
 
 class PastSetCalculator:
-    """Memoized past sets over vertex-set bitmasks.
-
-    P_l(t) = {ε} ∪ { w·a : Pre_a(t) != 0, w ∈ P_{l-1}(Pre_a(t)) },
-    because prepending happens one final symbol at a time:
-    Pre_{w·a}(t) = Pre_w(Pre_a(t)).
-    """
+    """Memoized predecessor sets Pre_a(t) over vertex-set bitmasks."""
 
     def __init__(self, g: Graph):
         self.graph = g
-        self._memo: dict[tuple[int, int], tuple[Word, ...]] = {}
         self._pre_memo: dict[tuple[int, int], int] = {}
 
     def pre(self, tset: int, symbol_index: int) -> int:
@@ -453,42 +429,26 @@ class PastSetCalculator:
             self._pre_memo[key] = v
         return v
 
-    def words_of_set(self, tset: int, level: int) -> tuple[Word, ...]:
-        if level == 0:
-            return (EPSILON,)
-        key = (tset, level)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        alph = self.graph.alphabet
-        words: list[Word] = [EPSILON]
-        for a, sym in enumerate(alph.symbols):
-            p = self.pre(tset, a)
-            if p:
-                words.extend(w + (sym,) for w in self.words_of_set(p, level - 1))
-        result = tuple(sorted(words, key=alph.sort_key))
-        self._memo[key] = result
-        return result
 
-    def past_set(self, tset: int, level: int) -> PastSet:
-        return PastSet(level, self.words_of_set(tset, level))
+def point_past_set(g: Graph, tset: int, level: int) -> tuple[Word, ...]:
+    """Past set of any point x with T(x) = ``tset``: the words u with
+    |u| <= ``level`` and u·x a point, in shortlex order."""
+    return tuple(SubsetAutomaton(g).words(tset, level))
 
 
-def point_past_set(g: Graph, tset: int, level: int) -> PastSet:
-    """Past set of any point x with T(x) = ``tset``."""
-    return PastSetCalculator(g).past_set(tset, level)
-
-
-def word_past_set(
-    g: Graph, word: Word, level: int, monoid: Optional[MonoidGraph] = None
-) -> PastSet:
+def word_past_set(g: Graph, word: Word, level: int) -> tuple[Word, ...]:
     """Past set of a finite word: all v with |v| <= level and v·word
-    admissible.  Raises WordNotInLanguage when the word itself is not.
+    admissible, in shortlex order.  Raises WordNotInLanguage when the word
+    itself is not.
 
-    v·word is admissible iff the range of R_v meets the domain of R_word,
-    i.e. iff Pre_v(dom R_word) != 0 — the same computation as for points,
-    applied to the word's relation domain.
+    v·word is admissible iff post*(V, v) meets Pre_word(V), the domain of
+    R_word — the same computation as for points, applied to that set.
     """
-    monoid = monoid or MonoidGraph(g)
-    rel = monoid.relation_of_word(word)
-    return PastSetCalculator(g).past_set(rel.dom, level)
+    tset = g.full_mask
+    for sym in reversed(word):
+        tset = g.pre(tset, g.alphabet.index(sym))
+    if not tset:
+        raise WordNotInLanguage(
+            f"word {g.alphabet.format_word(word)!r} not admissible"
+        )
+    return tuple(SubsetAutomaton(g).words(tset, level))

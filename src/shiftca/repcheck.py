@@ -31,12 +31,14 @@ what the zero ``S_j`` summands reproduce automatically on the rows we do
 check.  Skipped symbols are reported, never silently passed.
 
 No word is walked symbol by symbol.  Admissibility is read off the
-forward subset automaton from all vertices (:class:`SubsetAutomaton`):
-the state of ``u`` is post*(V, u), and it fixes the follower set of
-``u`` (Lind-Marcus 1995, section 3.2).  The basis is a trie stored as
-``parent``/``last``-symbol arrays and a ``child`` table, one layer per
-length, so every quantity that depends on a word extends its parent's
-value by one symbol, for a whole layer at once:
+forward subset automaton from all vertices
+(:class:`~shiftca.pastsets.SubsetAutomaton`, the one automaton that also
+orders and lists the tower's past words), expanded only as far as the
+basis words reach: the state of ``u`` is post*(V, u), and it fixes the
+follower set of ``u`` (Lind-Marcus 1995, section 3.2).  The basis is a
+trie stored as ``parent``/``last``-symbol arrays and a ``child`` table,
+one layer per length, so every quantity that depends on a word extends
+its parent's value by one symbol, for a whole layer at once:
 
 * the basis: the children of a layer are the nonzero entries of the step
   table on its states, in row-major order, which is shortlex order;
@@ -73,6 +75,7 @@ from .errors import (
     RelationBudgetExceeded,
     WrongKind,
 )
+from .pastsets import DEAD, START, SubsetAutomaton
 from .presentations import (
     EPSILON,
     Graph,
@@ -89,62 +92,6 @@ DEFAULT_WORD_BUDGET = 4
 #: Largest (word pairs) x (basis words) the universal checks accept; the
 #: full 6-shift at depth 4 and word budget 4 needs 7 465 x 1 555.
 RELATION_CAP = 1 << 24
-
-DEAD = 0  # state of every inadmissible word: the empty vertex set
-START = 1  # state of the empty word: the full vertex set
-
-
-class SubsetAutomaton:
-    """Forward subset automaton of a labeled graph from all vertices,
-    expanded on demand.
-
-    ``sets[s]`` is the vertex set post*(V, u) of the words u in state s.
-    The step table is ``int64`` with one column per symbol; its row
-    :data:`DEAD` maps every symbol to itself.  A row is computed the first
-    time a state is read, so a truncation pays only for the states its
-    words reach.
-    """
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.sets = [0, g.full_mask]
-        self._ids = {0: DEAD, g.full_mask: START}
-        self._table = np.zeros((16, len(g.alphabet)), dtype=np.int64)
-        self._rows = 1  # rows below this are filled; the dead row is zeros
-
-    def _expand(self, states: np.ndarray) -> None:
-        if self._rows == len(self.sets):  # every known state has its row
-            return
-        need = int(states.max(initial=0)) + 1
-        while self._rows < need:
-            s = self._rows
-            if s == len(self._table):
-                self._table = np.concatenate([self._table, np.zeros_like(self._table)])
-            for a in range(self._table.shape[1]):
-                nxt = self.graph.post(self.sets[s], a)
-                j = self._ids.setdefault(nxt, len(self.sets))
-                if j == len(self.sets):
-                    self.sets.append(nxt)
-                self._table[s, a] = j
-            self._rows += 1
-
-    def rows(self, states: np.ndarray) -> np.ndarray:
-        """Step-table rows of ``states``."""
-        self._expand(states)
-        return self._table[states]
-
-    def step(self, states: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Elementwise successor of ``states[i]`` under ``symbols[i]``."""
-        self._expand(states)
-        return self._table[states, symbols]
-
-    def state_of(self, word: Word) -> int:
-        """State post*(V, word); :data:`DEAD` when ``word`` is inadmissible."""
-        s = np.array([START])
-        for sym in word:
-            s = self.step(s, np.array([self.graph.alphabet.index(sym)]))
-        return int(s[0])
-
 
 def trie_layers(auto: SubsetAutomaton) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Admissible words one length at a time, as ``(parent, last)`` arrays.
@@ -225,15 +172,31 @@ class TruncatedRep:
             self.graph.alphabet.index(sym)
         return w
 
+    @cached_property
+    def _dead_operator(self) -> np.ndarray:
+        """The operator of every inadmissible word: zero on the whole basis."""
+        arr = np.full(self.size, -1, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
+
     def operator(self, word: Union[str, Word]) -> np.ndarray:
-        """Dense partial map of ``s_word`` on the basis (-1 means zero)."""
-        w = self._parse(word)
+        """Dense partial map of ``s_word`` on the basis (-1 means zero);
+        one shared array for all inadmissible words."""
+        try:
+            return self._ops[word]
+        except (KeyError, TypeError):  # a miss, or an unhashable word
+            return self._operator(self._parse(word))
+
+    def _operator(self, w: Word) -> np.ndarray:
+        """:meth:`operator` of a parsed word."""
         cached = self._ops.get(w)
         if cached is not None:
             return cached
-        arr = np.full(self.size, -1, dtype=np.int64)
         start = self.automaton.state_of(w)
-        if start != DEAD:
+        if start == DEAD:
+            arr = self._dead_operator
+        else:
+            arr = np.full(self.size, -1, dtype=np.int64)
             state = np.empty(self.size, dtype=np.int64)
             state[0] = start
             arr[0] = self.index_of(w[: self.depth])
@@ -244,17 +207,20 @@ class TruncatedRep:
                 # the parents' images have length min(|w| + k - 1, N)
                 img = arr[p] if len(w) + k > self.depth else self.child[arr[p], a]
                 arr[lo:hi] = np.where(s != DEAD, img, -1)
-        arr.setflags(write=False)
+            arr.setflags(write=False)
         self._ops[w] = arr
         return arr
 
     def preimages(self, word: Union[str, Word]) -> tuple[np.ndarray, np.ndarray]:
         """CSR pair ``(indptr, data)`` of the operator's preimage lists."""
-        w = self._parse(word)
+        try:
+            return self._preims[word]
+        except (KeyError, TypeError):  # a miss, or an unhashable word
+            w = self._parse(word)
         cached = self._preims.get(w)
         if cached is not None:
             return cached
-        arr = self.operator(w)
+        arr = self._operator(w)
         valid = arr >= 0
         counts = np.bincount(arr[valid], minlength=self.size)
         indptr = np.zeros(self.size + 1, dtype=np.int64)

@@ -16,11 +16,13 @@ list is built.  Two sorted lists first differ at u, the shortlex-least word
 of their symmetric difference, and the side holding u sorts first — unless
 the other side has no word after u (none lexicographically larger of length
 |u|, none of any length up to the level), so that its list is a prefix of
-the first and sorts first instead.  u is found on the forward subset
-automaton of :class:`~shiftca.pastsets.PastAutomaton`: a table per length r
-of the states from which some length-r word separates the two T-sets, the
+the first and sorts first instead.  u is found on
+:class:`~shiftca.pastsets.SubsetAutomaton`, the forward subset automaton
+that also enumerates the relation checks' words: a table per length r of
+the states from which some length-r word separates the two T-sets, the
 least r whose table holds the start state, then a greedy descent to the
-lexicographically least such word.
+lexicographically least such word.  The same automaton counts past words
+and lists them for the ``classes`` report.
 
 Matrices (all exact integer, rows indexed by the finer level):
 
@@ -47,8 +49,8 @@ from .intlinalg import IntMatrix
 from .pastsets import (
     DEFAULT_MONOID_CAP,
     MonoidGraph,
-    PastAutomaton,
     PastSetCalculator,
+    SubsetAutomaton,
     realized_tsets,
 )
 from .presentations import Graph, Presentation, to_labeled_graph
@@ -96,7 +98,7 @@ class Tower:
         self.monoid = monoid
         self.tsets: tuple[int, ...] = realized_tsets(monoid)
         self.calc = PastSetCalculator(graph)
-        self.automaton = PastAutomaton(graph)
+        self.automaton = SubsetAutomaton(graph)
         self.levels: list[TowerLevel] = []
         self.stabilized_at: Optional[int] = None
         self._class_maps: list[dict[int, int]] = []  # per level: tset -> class idx

@@ -10,7 +10,7 @@ import shiftca.cli
 import shiftca.conditions
 import shiftca.repcheck
 from shiftca.cli import main
-from shiftca.pastsets import PastSetCalculator
+from shiftca.pastsets import SubsetAutomaton
 from shiftca.presentations import Presentation
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
@@ -60,10 +60,17 @@ def test_classes_table(inputs, capsys):
 
 
 def test_classes_table_builds_no_word_list(inputs, capsys, monkeypatch, tmp_path):
-    def refuse(*args):
-        raise AssertionError("word list built")
+    # the table draws at most eight words of each class's lazy walk
+    drawn = []
+    words = SubsetAutomaton.words
 
-    monkeypatch.setattr(PastSetCalculator, "words_of_set", refuse)
+    def counted(self, tset, level):
+        drawn.append(0)
+        for w in words(self, tset, level):
+            drawn[-1] += 1
+            yield w
+
+    monkeypatch.setattr(SubsetAutomaton, "words", counted)
     code, out, _ = run(capsys, ["classes", "-i", inputs["gm"]])
     assert code == 0
     assert out.splitlines()[-2:] == [
@@ -86,6 +93,7 @@ def test_classes_table_builds_no_word_list(inputs, capsys, monkeypatch, tmp_path
         "  class 23: {'', '1', '01', '11', '001', '011', '101', '111', "
         "... (8388608 words)}"
     )
+    assert len(drawn) == 2 + 24 and max(drawn) == 8
 
 
 def test_classes_json_over_word_budget_exit_two(inputs, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 The brute-force oracle recomputes Pre_a directly from the edge list and
 enumerates candidate predecessor words one by one, sharing no code with
-the recursive calculator under test.
+the subset automaton under test.
 """
 
 import random
@@ -17,6 +17,7 @@ from shiftca.errors import EmptyShift, MonoidBudgetExceeded, WordNotInLanguage
 from shiftca.pastsets import (
     MonoidGraph,
     PastSetCalculator,
+    SubsetAutomaton,
     point_past_set,
     realized_tsets,
     word_past_set,
@@ -63,10 +64,11 @@ def brute_past_words(g, tset, level):
 def test_golden_point_past_sets():
     g = to_labeled_graph(GOLDEN)
     # vertex sets are bitmasks; {v0} = 1, {v0, v1} = 3
+    render = g.alphabet.format_word
     p2_v0 = point_past_set(g, 1, 2)
-    assert p2_v0.render(g.alphabet) == ["", "0", "00", "10"]
+    assert [render(w) for w in p2_v0] == ["", "0", "00", "10"]
     p2_both = point_past_set(g, 3, 2)
-    assert p2_both.render(g.alphabet) == ["", "0", "1", "00", "01", "10"]
+    assert [render(w) for w in p2_both] == ["", "0", "1", "00", "01", "10"]
     assert ("0",) in p2_v0
     assert ("1",) not in p2_v0
 
@@ -99,12 +101,11 @@ def test_realized_tsets():
 
 
 def test_monoid_word_lookup():
+    # words walk the step table from the identity, node 0; symbol 0 is "0"
     m = MonoidGraph(to_labeled_graph(GOLDEN))
-    assert m.node_of_word(()) == 0
-    rel = m.relation_of_word(("0", "1"))
-    assert not rel.is_zero
-    with pytest.raises(WordNotInLanguage):
-        m.relation_of_word(("1", "1"))
+    node_01 = m.step[m.step[0][0]][1]
+    assert node_01 is not None and m.doms[node_01] == 0b11  # read from both vertices
+    assert m.step[m.step[0][1]][1] is None  # "11" is not admissible
 
 
 def test_monoid_dom_shrinks_along_walks():
@@ -147,11 +148,9 @@ def test_past_set_matches_brute_force(spec, level):
         g = _graph_from_spec(spec)
     except EmptyShift:
         return  # no infinite paths survive pruning; nothing to check
-    calc = PastSetCalculator(g)
+    auto = SubsetAutomaton(g)
     for tset in range(1, 1 << g.n_vertices):
-        got = calc.past_set(tset, level)
-        want = brute_past_words(g, tset, level)
-        assert [tuple(w) for w in got.words] == want
+        assert list(auto.words(tset, level)) == brute_past_words(g, tset, level)
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,14 +308,13 @@ def test_columnwise_monoid_matches_rowwise_reference():
         assert len(got) == len(want)
         assert got.step == want.step
         assert got.doms == want.doms
-        # each node's relation, read back through the BFS word reaching it
-        word = {0: ()}
-        for i, row in enumerate(got.step):
-            for a, j in enumerate(row):
-                if j is not None and j not in word:
-                    word[j] = word[i] + (g.alphabet.symbols[a],)
-        for j, w in word.items():
-            assert got.relation_of_word(w).rows == want.nodes[j].rows
+        # each node's relation: its columns, transposed, are the reference rows
+        for cols, ref in zip(got.nodes, want.nodes):
+            rows = tuple(
+                sum(1 << x for x, col in enumerate(cols) if col >> v & 1)
+                for v in range(len(cols))
+            )
+            assert rows == ref.rows
         graphs += 1
         nodes += len(got)
     assert graphs > 500 and nodes > 10_000

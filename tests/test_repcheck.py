@@ -278,3 +278,42 @@ def test_relation_budget_counts_pairs_beyond_the_depth(monkeypatch):
     monkeypatch.setattr(shiftca.repcheck, "RELATION_CAP", 82 * 6 - 1)
     with pytest.raises(RelationBudgetExceeded):
         check_universal_relations(r, word_budget=4)
+
+
+def test_inadmissible_words_share_one_zero_operator():
+    r = build_truncation(GOLDEN, 4)
+    zero = r.operator(("1", "1"))
+    assert r.operator(("0", "1", "1")) is zero
+    assert np.all(zero == -1) and len(zero) == r.size
+    assert not zero.flags.writeable
+    assert build_truncation(GOLDEN, 4).operator(("1", "1")) is not zero
+
+
+def test_cached_operator_and_preimages_parse_nothing(monkeypatch):
+    r = build_truncation(GOLDEN, 4)
+    parsed = []
+    real = type(r)._parse
+
+    def counting(self, word):
+        parsed.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(type(r), "_parse", counting)
+    r.preimages(("0", "1"))  # one parse, although the operator is built too
+    assert parsed == [("0", "1")]
+    r.operator(("0", "1"))
+    r.preimages(("0", "1"))
+    assert parsed == [("0", "1")]
+
+
+def test_truncation_expands_only_the_states_it_reads():
+    # "16th symbol from the end is 1": 0 loops on both symbols, 0 -1-> 1,
+    # i -> i + 1 on both symbols and 16 -> 0 on both; the full subset
+    # automaton has 65 537 states
+    k = 16
+    edges = [(0, 0, "0"), (0, 0, "1"), (0, 1, "1")]
+    edges += [(i, i + 1, s) for i in range(1, k) for s in "01"]
+    edges += [(k, 0, s) for s in "01"]
+    r = build_truncation(Presentation.labeled_graph(("0", "1"), k + 1, edges), 6)
+    assert check_universal_relations(r, word_budget=2).passed
+    assert len(r.automaton.sets) < 1000

@@ -8,7 +8,7 @@ import pytest
 from shiftca.errors import EmptyShift, IllDefinedTransition, InputFormatError
 from shiftca.intlinalg import AbelianGroup
 from shiftca.invariants import k_groups
-from shiftca.pastsets import PastSetCalculator
+from shiftca.pastsets import SubsetAutomaton
 from shiftca.presentations import Presentation
 from shiftca.tower import (
     build_tower,
@@ -140,14 +140,41 @@ def test_stabilized_at_is_the_first_repeated_partition():
     assert towers > 250
 
 
-def _reference_order(tw, l):
+class _PastLister:
+    """Reference past-word lists, by the recursion on the last symbol
+
+        P_l(t) = {ε} ∪ { w·a : Pre_a(t) != 0, w ∈ P_{l-1}(Pre_a(t)) },
+
+    memoized and shortlex-sorted.  It reads only ``graph.pre``, so it
+    shares nothing with the subset automaton."""
+
+    def __init__(self, g):
+        self.graph = g
+        self._memo = {}
+
+    def words_of_set(self, tset, level):
+        if level == 0:
+            return ((),)
+        key = (tset, level)
+        if key not in self._memo:
+            alph = self.graph.alphabet
+            words = [()]
+            for a, sym in enumerate(alph.symbols):
+                p = self.graph.pre(tset, a)
+                if p:
+                    words.extend(w + (sym,) for w in self.words_of_set(p, level - 1))
+            self._memo[key] = tuple(sorted(words, key=alph.sort_key))
+        return self._memo[key]
+
+
+def _reference_order(tw, l, lister):
     """Level l's classes (sorted members) in the order of the word-list sort
     key: shortlex-sorted past words compared lexicographically, then sorted
     members."""
     alpha = tw.graph.alphabet
 
     def key(members):
-        words = tw.calc.words_of_set(members[0], l)
+        words = lister.words_of_set(members[0], l)
         return (tuple(alpha.sort_key(w) for w in words), sorted(members))
 
     return sorted((sorted(c.tsets) for c in tw.level(l).classes), key=key)
@@ -180,8 +207,9 @@ def test_classes_sorted_by_past_encoding():
         except EmptyShift:
             continue
         prev = None
+        lister = _PastLister(tw.graph)
         for l in range(tw.top_level + 1):
-            ref = _reference_order(tw, l)
+            ref = _reference_order(tw, l, lister)
             lvl = tw.level(l)
             assert [list(c.tsets) for c in lvl.classes] == ref, (pres, l)
             if prev is not None:
@@ -196,7 +224,8 @@ def test_order_has_no_word_lists(monkeypatch):
     def refuse(*args):
         raise AssertionError("word list built")
 
-    monkeypatch.setattr(PastSetCalculator, "words_of_set", refuse)
+    # the automaton's walk is the only past-word lister left
+    monkeypatch.setattr(SubsetAutomaton, "words", refuse)
     tw = build_tower(Presentation.forbidden_words(("0", "1"), [("0",) * 24]))
     assert [lvl.m for lvl in tw.levels] == list(range(1, 25)) + [24]
     assert tw.stabilized_at == 23
@@ -209,9 +238,10 @@ def test_automaton_counts_and_walks_match_word_lists():
             tw = build_tower(pres)
         except EmptyShift:
             continue
+        lister = _PastLister(tw.graph)
         for t in tw.tsets:
             for l in range(4):
-                words = tw.calc.words_of_set(t, l)
+                words = lister.words_of_set(t, l)
                 assert tw.automaton.count_words(t, l) == len(words)
                 assert tuple(tw.automaton.words(t, l)) == words
 
@@ -239,12 +269,11 @@ def test_length_filtration_can_exclude_classes():
     assert [tw.m(l) for l in range(3)] == [1, 2, 2]
     assert filtration_M(tw, 1, 0) == (0, 1)
     assert filtration_M(tw, 1, 1) == (1,)
-    alpha = tw.graph.alphabet
     excluded = tw.level(1).classes[0]
-    assert tw.calc.past_set(excluded.tsets[0], 1).render(alpha) == [""]
+    assert list(tw.automaton.words(excluded.tsets[0], 1)) == [()]
     assert excluded.has_exact_past == (True, False)
     kept = tw.level(1).classes[1]
-    assert tw.calc.past_set(kept.tsets[0], 1).render(alpha) == ["", "a", "b"]
+    assert list(tw.automaton.words(kept.tsets[0], 1)) == [(), ("a",), ("b",)]
 
 
 def test_stable_permutation_rejects_unstabilized_level():
