@@ -1,6 +1,8 @@
-"""Structural verdicts about a shift space, decided on its relation monoid.
+"""Structural verdicts about a shift space.
 
-Four yes/no questions about the class structure are answered with
+Only condition (I) reads the relation monoid, to count points; the others
+read the tower and its predecessor table ``Tower.pre``, the backward subset
+automaton.  Four yes/no questions about the class structure are answered with
 certificates, plus one lattice enumeration:
 
 * :func:`condition_I` — does every class (at the stabilized level) contain at
@@ -10,7 +12,7 @@ certificates, plus one lattice enumeration:
   re-verified by an independent bounded enumeration.
 * :func:`condition_star` — does every infinite word class share its past set
   with some class of points?  Decided by a joint partition refinement over
-  all relation domains, run to its own fixpoint.
+  all states of the backward subset automaton, run to its own fixpoint.
 * :func:`aperiodic_past` — can every class be reached from every realized
   T-set by prepending a single bounded-length word?  Saturation over
   predecessor sets; Holds carries the uniform bound.
@@ -278,6 +280,11 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
     graph.  A failure certificate names the class and its unique eventually
     periodic point, and is re-verified by an independent enumeration to
     depth 2 * monoid size.
+
+    The status is a property of the shift.  The certificate's
+    ``reverified_to_depth`` and the split of the point into ``prefix`` and
+    ``period`` are properties of the presenting graph: two presentations of
+    one shift can give different values.
     """
     if level is None:
         if tw.stabilized_at is None:
@@ -335,38 +342,48 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _infinite_word_domains(table: dict[int, tuple[int, ...]]) -> set[int]:
+    """The states of the backward subset automaton ``table`` that infinitely
+    many words share: those reachable from one of its cycles.  Trimming to
+    the states that keep a predecessor inside the set leaves exactly them."""
+    into: dict[int, set[int]] = {s: set() for s in table}
+    for s, row in table.items():
+        for p in row:
+            if p:
+                into[p].add(s)
+    return _trim_to_live(set(table), into.__getitem__)
+
+
 def condition_star(tw: Tower) -> Verdict:
     """Holds iff, at every depth, every infinite word class has the same past
     set as some point class.
 
-    A word class is infinite exactly when its relation is reachable from a
-    cycle of the monoid graph, so the candidates are the domains of those
-    relations.  Past-set equality at every depth is decided by refining one
-    partition over *all* relation domains (that family is closed under
-    one-symbol predecessors) to its own fixpoint: two domains share a block
-    at the fixpoint iff their past sets agree at every finite depth.  The
-    computation is self-contained, so the verdict status is exact even for
-    an unstabilized tower; the method is downgraded to a bounded search in
-    that case to keep the budget visible.
+    Everything is read off the backward subset automaton B, the table
+    ``tw.pre``, and not off the relation monoid.  The states of B are the
+    sets Pre_w(V), the domains of the word relations R_w, and its edges
+    S -> Pre_a(S) prepend a symbol.  A domain belongs to infinitely many
+    words exactly when its state is reachable from a cycle of B (the path of
+    a word longer than the number of states repeats a state, and a cycle
+    can be pumped), so the candidates are what is left after trimming B to
+    the states with a predecessor inside the set.  Past-set equality at
+    every depth is decided by refining one partition over *all* states of B
+    (closed under nonzero one-symbol predecessors) to its own fixpoint: two
+    states share a block at the fixpoint iff their past sets agree at every
+    finite depth.  The computation is self-contained, so the verdict status
+    is exact even for an unstabilized tower; the method is downgraded to a
+    bounded search in that case to keep the budget visible.
     """
-    g = tw.graph
-    calc = tw.calc
-    monoid = tw.monoid
-    flagged = sorted(
-        {monoid.doms[i] for i in range(len(monoid)) if monoid.cycle_reachable[i]}
-    )
+    table = tw.pre
+    flagged = sorted(_infinite_word_domains(table))
     realized = set(tw.tsets)
-    universe = sorted(set(monoid.doms))
+    universe = sorted(table)
     block = {s: 0 for s in universe}
     fixpoint_level = 0
     while True:
-        sigs = {}
-        for s in universe:
-            key = [block[s]]
-            for a in range(len(g.alphabet)):
-                p = calc.pre(s, a)
-                key.append(-1 if p == 0 else block[p])
-            sigs[s] = tuple(key)
+        sigs = {
+            s: (block[s], *(-1 if p == 0 else block[p] for p in table[s]))
+            for s in universe
+        }
         relabel = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
         # each signature starts with the old block, so the new partition
         # refines the old one: equal block counts mean equal partitions
@@ -426,8 +443,6 @@ def _class_reachability(tw: Tower, lvl: int):
     pre_u(t) whenever that set is nonempty, so saturation over predecessor
     sets enumerates exactly the reachable classes; the empty word counts.
     """
-    calc = tw.calc
-    n_sym = len(tw.graph.alphabet)
     out = {}
     diameter = 0
     for t in tw.tsets:
@@ -438,8 +453,7 @@ def _class_reachability(tw: Tower, lvl: int):
             d += 1
             nxt = []
             for s in frontier:
-                for a in range(n_sym):
-                    p = calc.pre(s, a)
+                for p in tw.pre[s]:
                     if p and p not in dist:
                         dist[p] = d
                         nxt.append(p)
@@ -532,7 +546,13 @@ def irreducible_past(tw: Tower, level: Optional[int] = None) -> Verdict:
     """Sufficient check: Holds when every class is reachable from every
     realized T-set.  An uncovered pair is Inconclusive, not Fails — the
     underlying property quantifies over sequences of points and is not
-    refuted by one unreachable pair."""
+    refuted by one unreachable pair.
+
+    The ``bounded_search`` radius (the longest minimal word, or the
+    saturation diameter when a pair is uncovered) is measured on the
+    presenting graph's T-sets: two presentations of one shift can give
+    different radii with the same status.
+    """
     lvl = _resolve_level(tw, level)
     reach, diameter = _class_reachability(tw, lvl)
     m = tw.m(lvl)
@@ -603,13 +623,11 @@ def ideal_lattice(tw: Tower, level: Optional[int] = None) -> IdealLatticeReport:
     :class:`IdealBudgetExceeded` past ``IDEAL_CAP`` elements.
     """
     lvl = _resolve_level(tw, level)
-    calc = tw.calc
     m = tw.m(lvl)
     succ: dict[int, set[int]] = {c: set() for c in range(m)}
     for t in tw.tsets:
         target = tw.class_of(lvl, t)
-        for a in range(len(tw.graph.alphabet)):
-            p = calc.pre(t, a)
+        for p in tw.pre[t]:
             if p:
                 succ[tw.class_of(lvl, p)].add(target)
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotStabilized, TowerTooShallow, WrongKind
+from .errors import InputFormatError, NotStabilized, TowerTooShallow, WrongKind
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, smith_form
 from .presentations import Presentation
 from .tower import (
@@ -124,8 +124,11 @@ def dimension_group(tw: Tower, k_max: int = 3) -> DimensionGroupReport:
     Stage k is evaluated at level max(stabilized, k+1) — the first stabilized
     level deep enough for length-(k+1) pasts to be class invariants — and the
     connecting map's rows are pulled back through the refinement permutation
-    so that iterating the map makes sense over a fixed basis.
+    so that iterating the map makes sense over a fixed basis.  A negative
+    ``k_max`` raises :class:`InputFormatError`.
     """
+    if k_max < 0:
+        raise InputFormatError(f"k_max must be nonnegative, got {k_max}")
     if tw.stabilized_at is None:
         raise NotStabilized(
             f"tower not stabilized within {tw.top_level} levels"

@@ -8,11 +8,13 @@ a point; it is a function of T(x) alone, computed through predecessor sets:
     u·x is a point  <=>  Pre_u(T(x)) is nonempty,
 
 where Pre_u(t) applies the u-labeled edge relation backwards, one symbol at a
-time.  The finitely many word relations R_u (u ranging over admissible words)
-form a monoid under composition; its left-to-right Cayley graph — nodes are
-distinct nonzero relations, the edge for symbol a maps R_u to R_{u·a} — is
-the single combinatorial object behind realized T-sets, point counting, and
-the word-class bookkeeping of the conditions module.
+time.  The sets Pre_w(V) and their one-symbol predecessors form the backward
+subset automaton, :func:`predecessor_table`, which the tower and the
+conditions read every Pre_a from.  The finitely many word relations R_u (u
+ranging over admissible words) form a monoid under composition; its
+left-to-right Cayley graph — nodes are distinct nonzero relations, the edge
+for symbol a maps R_u to R_{u·a} — decides which of those sets are realized
+T-sets, and counts the points of each for condition (I).
 
 Words themselves — the admissible words of the relation checks, and the
 past words of the tower (which of two T-sets owns the shortlex-least word
@@ -113,23 +115,6 @@ class MonoidGraph:
         return (j for j in self.step[i] if j is not None)
 
     @cached_property
-    def cycle_reachable(self) -> tuple[bool, ...]:
-        """cycle_reachable[i]: node i is reachable from some node lying on a
-        directed cycle (itself included).  Such nodes are exactly the word
-        relations shared by infinitely many words."""
-        on_cycle = _cyclic_nodes(len(self.nodes), self.successors)
-        flag = list(on_cycle)
-        # forward closure
-        work = [i for i, f in enumerate(flag) if f]
-        while work:
-            i = work.pop()
-            for j in self.successors(i):
-                if not flag[j]:
-                    flag[j] = True
-                    work.append(j)
-        return tuple(flag)
-
-    @cached_property
     def live_by_dom(self) -> dict[int, frozenset[int]]:
         """Realized T-set -> its live nodes.
 
@@ -151,61 +136,6 @@ class MonoidGraph:
         return out
 
 
-def _cyclic_nodes(n: int, successors: Callable[[int], Iterable[int]]) -> list[bool]:
-    """Nodes lying on a directed cycle, via iterative Tarjan SCC."""
-    UNSEEN = -1
-    index_of = [UNSEEN] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    result = [False] * n
-    counter = 0
-    for root in range(n):
-        if index_of[root] != UNSEEN:
-            continue
-        work: list[tuple[int, Iterable[int]]] = [(root, iter(successors(root)))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index_of[w] == UNSEEN:
-                    index_of[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors(w))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1:
-                    for w in comp:
-                        result[w] = True
-                else:
-                    w = comp[0]
-                    if w in successors(w):
-                        result[w] = True
-    return result
-
-
 def _trim_to_live(nodes: set[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
     """Largest subset where every node keeps an outgoing edge inside the set
     (iteratively delete out-degree-0 nodes)."""
@@ -223,6 +153,25 @@ def _trim_to_live(nodes: set[int], successors: Callable[[int], Iterable[int]]) -
 def realized_tsets(monoid: MonoidGraph) -> tuple[int, ...]:
     """All vertex sets of the form T(x), sorted by bitmask value."""
     return tuple(sorted(monoid.live_by_dom))
+
+
+def predecessor_table(g: Graph) -> dict[int, tuple[int, ...]]:
+    """The backward subset automaton B: every nonempty Pre_w(V) -> its row
+    (Pre_a of it, per symbol a, with 0 for the empty set).
+
+    The states are the domains of the word relations R_w, so B has no more
+    states than the relation monoid has nodes, and it is closed under
+    nonzero Pre_a; every realized T-set is a state.
+    """
+    n_sym = len(g.alphabet)
+    table: dict[int, tuple[int, ...]] = {}
+    work = [g.full_mask]
+    while work:
+        s = work.pop()
+        if s not in table:
+            row = table[s] = tuple(g.pre(s, a) for a in range(n_sym))
+            work.extend(p for p in row if p and p not in table)
+    return table
 
 
 #: State of every inadmissible word: the empty vertex set.
@@ -412,22 +361,6 @@ class SubsetAutomaton:
                 for a in range(len(row) - 1, -1, -1):
                     if want >> row[a] & 1:
                         stack.append((row[a], w + (syms[a],)))
-
-
-class PastSetCalculator:
-    """Memoized predecessor sets Pre_a(t) over vertex-set bitmasks."""
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self._pre_memo: dict[tuple[int, int], int] = {}
-
-    def pre(self, tset: int, symbol_index: int) -> int:
-        key = (tset, symbol_index)
-        v = self._pre_memo.get(key)
-        if v is None:
-            v = self.graph.pre(tset, symbol_index)
-            self._pre_memo[key] = v
-        return v
 
 
 def point_past_set(g: Graph, tset: int, level: int) -> tuple[Word, ...]:

@@ -57,6 +57,12 @@ _KIND_FIELDS = {
 }
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a boolean (JSON ``true`` and ``false`` are not
+    vertex counts or indices)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered, duplicate-free tuple of symbol strings.
@@ -155,7 +161,7 @@ class Presentation:
             if len(row) != n:
                 raise InputFormatError(f"matrix row {i} has length {len(row)}")
             for x in row:
-                if x not in (0, 1):
+                if isinstance(x, bool) or x not in (0, 1):
                     raise InputFormatError(
                         f"matrix entries must be 0 or 1, found {x!r}"
                     )
@@ -175,6 +181,8 @@ class Presentation:
             if len(word) == 0:
                 raise InputFormatError("the empty word cannot be forbidden")
             for s in word:
+                if not isinstance(s, str):
+                    raise InputFormatError(f"forbidden word uses non-string symbol {s!r}")
                 if s not in alphabet:
                     raise InvalidSymbol(f"forbidden word uses unknown symbol {s!r}")
             out.append(word)
@@ -189,15 +197,17 @@ class Presentation:
         edges: Sequence[tuple[int, int, str]],
     ) -> "Presentation":
         alphabet = Alphabet(tuple(symbols))
-        if not isinstance(n_vertices, int) or n_vertices <= 0:
+        if not _is_int(n_vertices) or n_vertices <= 0:
             raise InputFormatError("vertices must be a positive integer")
         es = []
         for e in edges:
             src, dst, label = e
-            if not isinstance(src, int) or not isinstance(dst, int):
+            if not _is_int(src) or not _is_int(dst):
                 raise InputFormatError(f"edge {e!r} endpoints must be integers")
             if not (0 <= src < n_vertices) or not (0 <= dst < n_vertices):
                 raise DanglingEdge(f"edge {e!r} leaves the vertex range")
+            if not isinstance(label, str):
+                raise InputFormatError(f"edge {e!r} label must be a symbol string")
             if label not in alphabet:
                 raise InvalidSymbol(f"edge label {label!r} not in alphabet")
             es.append((int(src), int(dst), label))
@@ -232,15 +242,19 @@ class Presentation:
         if not isinstance(symbols, list):
             raise InputFormatError("alphabet must be a list of strings")
         if kind == "sft":
-            if not isinstance(doc["matrix"], list):
+            matrix = doc["matrix"]
+            if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
                 raise InputFormatError("matrix must be a list of rows")
-            return Presentation.sft(symbols, doc["matrix"])
+            return Presentation.sft(symbols, matrix)
         if kind == "forbidden_words":
-            if not isinstance(doc["forbidden"], list):
+            forbidden = doc["forbidden"]
+            if not isinstance(forbidden, list) or not all(
+                isinstance(w, (str, list)) for w in forbidden
+            ):
                 raise InputFormatError("forbidden must be a list of words")
             alphabet = Alphabet(tuple(symbols))
             words = [alphabet.parse_word(w) if isinstance(w, str) else tuple(w)
-                     for w in doc["forbidden"]]
+                     for w in forbidden]
             return Presentation.forbidden_words(symbols, words)
         # labeled_graph
         if not isinstance(doc["edges"], list):

@@ -49,8 +49,8 @@ from .intlinalg import IntMatrix
 from .pastsets import (
     DEFAULT_MONOID_CAP,
     MonoidGraph,
-    PastSetCalculator,
     SubsetAutomaton,
+    predecessor_table,
     realized_tsets,
 )
 from .presentations import Graph, Presentation, to_labeled_graph
@@ -97,7 +97,9 @@ class Tower:
         self.graph = graph
         self.monoid = monoid
         self.tsets: tuple[int, ...] = realized_tsets(monoid)
-        self.calc = PastSetCalculator(graph)
+        # Pre_a of every state of the backward subset automaton, realized
+        # T-sets among them
+        self.pre = predecessor_table(graph)
         self.automaton = SubsetAutomaton(graph)
         self.levels: list[TowerLevel] = []
         self.stabilized_at: Optional[int] = None
@@ -109,7 +111,6 @@ class Tower:
 
     def _append_level(self, blocks: list[list[int]]) -> None:
         level = len(self.levels)
-        alph = self.graph.alphabet
         # Pre_{u·a}(t) = Pre_u(Pre_a t), and Pre_a of a realized T-set is
         # realized or empty, so the length-k flags follow from the length-(k-1)
         # ones
@@ -119,7 +120,7 @@ class Tower:
             prev = self._exact[-1]
             self._exact.append(frozenset(
                 t for t in self.tsets
-                if any(self.calc.pre(t, a) in prev for a in range(len(alph)))
+                if any(p in prev for p in self.pre[t])
             ))
         flagged = []
         for members in blocks:
@@ -179,14 +180,10 @@ class Tower:
 
     def _refine_once(self) -> list[list[int]]:
         cmap = self._class_maps[-1]
-        n_sym = len(self.graph.alphabet)
         groups: dict[tuple, list[int]] = {}
         for t in self.tsets:
-            sig = [cmap[t]]
-            for a in range(n_sym):
-                p = self.calc.pre(t, a)
-                sig.append(-1 if p == 0 else cmap[p])
-            groups.setdefault(tuple(sig), []).append(t)
+            sig = (cmap[t], *(-1 if p == 0 else cmap[p] for p in self.pre[t]))
+            groups.setdefault(sig, []).append(t)
         return list(groups.values())
 
     def ensure_level(self, level: int) -> None:
@@ -226,8 +223,11 @@ def build_tower(
     repeats (plus one confirming level) or ``max_level`` is hit.
 
     ``stabilized_at`` is None when the budget ran out first; levels
-    0..min(stabilization+1, max_level) are materialized.
+    0..min(stabilization+1, max_level) are materialized.  A negative
+    ``max_level`` raises :class:`InputFormatError`.
     """
+    if max_level < 0:
+        raise InputFormatError(f"max_level must be nonnegative, got {max_level}")
     g = source if isinstance(source, Graph) else to_labeled_graph(source)
     tw = Tower(g, MonoidGraph(g, monoid_cap))
     while tw.stabilized_at is None and tw.top_level < max_level:
@@ -267,7 +267,7 @@ def matrix_A(tw: Tower, l: int, symbol: Optional[int] = None) -> IntMatrix:
     for c in fine.classes:
         row = [0] * coarse_m
         for a in symbols:
-            pres = [tw.calc.pre(t, a) for t in c.tsets]
+            pres = [tw.pre[t][a] for t in c.tsets]
             nonzero = [p for p in pres if p]
             if not nonzero:
                 continue

@@ -222,6 +222,44 @@ def test_input_errors_exit_one(inputs, capsys, tmp_path):
     assert run(capsys, ["kgroups", "-i", str(notdoc)])[0] == 1
 
 
+def _doc(kind, **fields):
+    return {"format": "shiftspace-v1", "kind": kind, "alphabet": ["0", "1"], **fields}
+
+
+def _edge(src, dst, label):
+    return {"from": src, "to": dst, "label": label}
+
+
+MALFORMED = {
+    "forbidden_int": _doc("forbidden_words", forbidden=[5]),
+    "forbidden_null": _doc("forbidden_words", forbidden=[None]),
+    "matrix_of_ints": _doc("sft", matrix=[5, 6]),
+    "matrix_of_bools": _doc("sft", matrix=[[True, True], [True, False]]),
+    "label_list": _doc("labeled_graph", vertices=1, edges=[_edge(0, 0, ["0"])]),
+    "vertices_bool": _doc("labeled_graph", vertices=True, edges=[_edge(0, 0, "0")]),
+    "endpoint_bool": _doc("labeled_graph", vertices=1, edges=[_edge(False, False, "0")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_one(name, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code, out, err = run(capsys, ["kgroups", "-i", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dimension-group", "--k-max", "-1", "--json"], ["kgroups", "-l", "-1"]],
+)
+def test_negative_budgets_exit_one(argv, inputs, capsys):
+    code, out, err = run(capsys, argv + ["-i", inputs["gm"]])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_usage_errors_exit_one(inputs, capsys):
     assert run(capsys, ["kgroups"])[0] == 1  # no input
     assert run(capsys, ["kgroups", "-i", inputs["gm"], "--bogus"])[0] == 1

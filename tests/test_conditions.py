@@ -146,6 +146,34 @@ def test_full_shift_condition_verdicts():
     assert irreducible_past(tw).status == "holds"
 
 
+# a word class with domain {0, 2} is infinite and no point shares its past
+STAR_FAILS = Presentation.labeled_graph(
+    ("a", "b"),
+    4,
+    [(0, 1, "a"), (0, 2, "b"), (1, 0, "a"), (2, 0, "b"), (2, 3, "a"), (3, 3, "b")],
+)
+
+
+class _PoisonedMonoid:
+    def __getattribute__(self, name):
+        raise AssertionError(f"read monoid.{name}")
+
+
+def test_condition_star_reads_no_monoid():
+    assert condition_star(build_tower(STAR_FAILS)).to_json_dict() == {
+        "condition": "star",
+        "status": "fails",
+        "method": "exact",
+        "certificate": {"level": 4, "word_class_dom": ["0", "2"]},
+    }
+    for pres, max_level in ((GOLDEN, 64), (EVEN, 64), (EVEN, 1), (FULL2, 64),
+                            (TWO_POINTS, 64), (STAR_FAILS, 64)):
+        tw = build_tower(pres, max_level=max_level)
+        want = condition_star(tw).to_json_dict()
+        tw.monoid = _PoisonedMonoid()
+        assert condition_star(tw).to_json_dict() == want
+
+
 def test_parallel_readings_do_not_fake_a_second_point():
     # The ray a b d d d... is read by two distinct vertex runs (through the
     # parallel b-edges into separate d-loops), but it is still one point; a

@@ -13,12 +13,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftca.conditions import _infinite_word_domains
 from shiftca.errors import EmptyShift, MonoidBudgetExceeded, WordNotInLanguage
 from shiftca.pastsets import (
     MonoidGraph,
-    PastSetCalculator,
     SubsetAutomaton,
     point_past_set,
+    predecessor_table,
     realized_tsets,
     word_past_set,
 )
@@ -168,22 +169,74 @@ def test_tower_exact_past_flags_match_brute_force(spec, level):
             ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(graph_specs)
-def test_pre_closure_of_relation_domains(spec):
-    # the set of relation domains is closed under nonzero Pre_a
-    try:
-        g = _graph_from_spec(spec)
-    except EmptyShift:
-        return
-    m = MonoidGraph(g)
-    calc = PastSetCalculator(g)
-    doms = set(m.doms)
-    for t in doms:
-        for a in range(len(g.alphabet)):
-            pre = calc.pre(t, a)
-            if pre:
-                assert pre in doms
+def _small_graphs():
+    """Every labeled graph with at most 2 vertices and 2 symbols."""
+    for nv, ns in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        syms = "ab"[:ns]
+        slots = list(product(range(nv), range(nv), syms))
+        for bits in range(1, 1 << len(slots)):
+            edges = [e for i, e in enumerate(slots) if bits >> i & 1]
+            yield Presentation.labeled_graph(tuple(syms), nv, edges)
+
+
+def _table_corpus():
+    """The small graphs, 200 seeded random graphs with at most 7 vertices
+    and 3 symbols, and their monoids, skipping monoids over 500 nodes."""
+    rng = random.Random(1105)
+    seeded = []
+    for _ in range(200):
+        nv = rng.randint(1, 7)
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice("abc"))
+            for _ in range(rng.randint(1, 3 * nv))
+        }
+        seeded.append(Presentation.labeled_graph(("a", "b", "c"), nv, sorted(edges)))
+    for p in (*_small_graphs(), *seeded):
+        try:
+            g = to_labeled_graph(p)
+            m = MonoidGraph(g, cap=500)
+        except (EmptyShift, MonoidBudgetExceeded):
+            continue
+        yield g, m
+
+
+def test_pre_closure_of_relation_domains():
+    # the backward subset automaton's states are the relation domains, so
+    # that family is closed under nonzero Pre_a; each row is Pre_a by brute force
+    graphs = 0
+    for g, m in _table_corpus():
+        table = predecessor_table(g)
+        assert set(table) == set(m.doms)
+        for t, row in table.items():
+            assert row == tuple(brute_pre(g, t, a) for a in range(len(g.alphabet)))
+        graphs += 1
+    assert graphs > 250
+
+
+def _cycle_reachable_domains(m):
+    """Domains of the monoid nodes reachable from a node on a cycle of the
+    monoid graph, by one search per node."""
+    reach = []
+    for i in range(len(m)):
+        seen = set()
+        work = list(m.successors(i))
+        while work:
+            v = work.pop()
+            if v not in seen:
+                seen.add(v)
+                work.extend(m.successors(v))
+        reach.append(seen)
+    return {m.doms[j] for i in range(len(m)) if i in reach[i] for j in reach[i]}
+
+
+def test_infinite_word_domains_match_monoid_cycles():
+    graphs = nonempty = 0
+    for g, m in _table_corpus():
+        got = _infinite_word_domains(predecessor_table(g))
+        assert got == _cycle_reachable_domains(m)
+        graphs += 1
+        nonempty += bool(got)
+    assert graphs > 250 and nonempty == graphs
 
 
 # Reference: the row-wise relation monoid that the column-wise MonoidGraph
@@ -276,12 +329,7 @@ def _monoid_corpus():
     """Every labeled graph with at most 2 vertices and 2 symbols, 500 seeded
     random graphs with at most 6 vertices and 3 symbols, the forbidden-word
     shifts 0^3..0^8 and the mod-16 and mod-24 gap graphs."""
-    for nv, ns in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        syms = "ab"[:ns]
-        slots = list(product(range(nv), range(nv), syms))
-        for bits in range(1, 1 << len(slots)):
-            edges = [e for i, e in enumerate(slots) if bits >> i & 1]
-            yield Presentation.labeled_graph(tuple(syms), nv, edges)
+    yield from _small_graphs()
     rng = random.Random(31013)
     for _ in range(500):
         nv = rng.randint(1, 6)
