@@ -22,6 +22,7 @@ so identical input and flags give byte-identical bytes on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -73,7 +74,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``shiftca`` argument parser, built once per process: parsing
+    leaves it unchanged, and building it costs more than most commands on
+    small inputs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "-i", "--input", required=True, help="presentation JSON file, or - for stdin"

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DanglingEdge,
@@ -61,6 +61,25 @@ def _is_int(x) -> bool:
     """An integer that is not a boolean (JSON ``true`` and ``false`` are not
     vertex counts or indices)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def zero_one_rows(
+    matrix: Sequence[Sequence[int]], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of an n x n matrix whose entries are the integers 0 and 1.
+
+    Raises InputFormatError for a wrong shape or any other entry, booleans
+    included (JSON ``true`` is not a matrix entry).
+    """
+    if len(matrix) != n:
+        raise InputFormatError(f"matrix has {len(matrix)} rows for {n} symbols")
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise InputFormatError(f"matrix row {i} has length {len(row)}")
+        for x in row:
+            if isinstance(x, bool) or x not in (0, 1):
+                raise InputFormatError(f"matrix entries must be 0 or 1, found {x!r}")
+    return tuple(tuple(int(x) for x in row) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -151,24 +170,11 @@ class Presentation:
     @staticmethod
     def sft(symbols: Sequence[str], matrix: Sequence[Sequence[int]]) -> "Presentation":
         alphabet = Alphabet(tuple(symbols))
-        n = len(alphabet)
-        if len(matrix) != n:
-            raise InputFormatError(
-                f"matrix has {len(matrix)} rows for {n} symbols"
-            )
-        rows = []
-        for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise InputFormatError(f"matrix row {i} has length {len(row)}")
-            for x in row:
-                if isinstance(x, bool) or x not in (0, 1):
-                    raise InputFormatError(
-                        f"matrix entries must be 0 or 1, found {x!r}"
-                    )
+        rows = zero_one_rows(matrix, len(alphabet))
+        for i, row in enumerate(rows):
             if not any(row):
                 raise ZeroRow(f"row {i} ({alphabet.symbols[i]!r}) is all zero")
-            rows.append(tuple(int(x) for x in row))
-        return Presentation("sft", alphabet, matrix=tuple(rows))
+        return Presentation("sft", alphabet, matrix=rows)
 
     @staticmethod
     def forbidden_words(
@@ -357,12 +363,16 @@ class Graph:
 
 def _essentialize(
     alphabet: Alphabet,
-    n: int,
     edges: list[tuple[int, int, int]],
-    names: list[str],
+    name: Callable[[int], str],
 ) -> Graph:
-    """Iteratively delete vertices without outgoing edges, then reindex."""
-    alive = set(range(n))
+    """Iteratively delete vertices without outgoing edges, then reindex.
+
+    The search starts from the edges' sources, since a vertex without an
+    out-edge is deleted in the first round anyway, and only kept vertices
+    are named, so the work follows the edges, not the declared vertex count.
+    """
+    alive = {src for (src, dst, a) in edges}
     while True:
         have_out = {src for (src, dst, a) in edges if src in alive and dst in alive}
         dead = alive - have_out
@@ -382,7 +392,7 @@ def _essentialize(
         alphabet=alphabet,
         n_vertices=len(order),
         edges=tuple(kept),
-        vertex_names=tuple(names[v] for v in order),
+        vertex_names=tuple(name(v) for v in order),
     )
 
 
@@ -419,8 +429,7 @@ def to_labeled_graph(p: Presentation) -> Graph:
             for j in range(n)
             if p.matrix[i][j]
         ]
-        names = list(alphabet.symbols)
-        return _essentialize(alphabet, n, edges, names)
+        return _essentialize(alphabet, edges, alphabet.symbols.__getitem__)
 
     if p.kind == "forbidden_words":
         forb = set(p.forbidden)
@@ -437,13 +446,13 @@ def to_labeled_graph(p: Presentation) -> Graph:
                 if not any(u in forb for u in suffixes):
                     target = next(u for u in suffixes if u in index)
                     edges.append((index[q], index[target], a))
-        names = [alphabet.format_word(q) for q in states]
-        return _essentialize(alphabet, len(states), edges, names)
+        return _essentialize(
+            alphabet, edges, lambda v: alphabet.format_word(states[v])
+        )
 
     if p.kind == "labeled_graph":
         edges = [(s, t, alphabet.index(a)) for (s, t, a) in p.edges]
-        names = [str(v) for v in range(p.n_vertices)]
-        return _essentialize(alphabet, p.n_vertices, edges, names)
+        return _essentialize(alphabet, edges, str)
 
     raise InputFormatError(f"unknown kind {p.kind!r}")
 

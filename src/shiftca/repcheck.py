@@ -83,6 +83,7 @@ from .presentations import (
     Word,
     language_upto,
     to_labeled_graph,
+    zero_one_rows,
 )
 
 #: Largest word basis a truncation may enumerate.  Memory is linear in it:
@@ -504,26 +505,6 @@ def check_universal_relations(
     )
 
 
-def _normalize_matrix(
-    matrix: Sequence[Sequence[int]], n_symbols: int
-) -> tuple[tuple[int, ...], ...]:
-    if len(matrix) != n_symbols:
-        raise InputFormatError(
-            f"matrix has {len(matrix)} rows for {n_symbols} symbols"
-        )
-    rows = []
-    for i, row in enumerate(matrix):
-        if len(row) != n_symbols:
-            raise InputFormatError(f"matrix row {i} has length {len(row)}")
-        for x in row:
-            if x not in (0, 1):
-                raise InputFormatError(
-                    f"matrix entries must be 0 or 1, found {x!r}"
-                )
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows)
-
-
 def check_ck_relations(
     rep: TruncatedRep, matrix: Optional[Sequence[Sequence[int]]] = None
 ) -> RelationReport:
@@ -542,7 +523,7 @@ def check_ck_relations(
             )
         matrix = rep.presentation.matrix
     syms = rep.graph.alphabet.symbols
-    mat = _normalize_matrix(matrix, len(syms))
+    mat = zero_one_rows(matrix, len(syms))
     n = rep.size
     ops = [rep.operator((s,)) for s in syms]
     occurring = [i for i, op in enumerate(ops) if bool(np.any(op >= 0))]

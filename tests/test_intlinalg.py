@@ -2,7 +2,9 @@
 
 The invariant factors are checked against their definition: d_1 ... d_k is
 the gcd of all k x k minors, and the rank is the largest k with a nonzero
-minor.  The minors come from test-local determinants.
+minor.  The minors come from test-local determinants.  The modular route
+is checked against the elimination route, and against the minors where
+n <= 5, on matrices whose entries are large enough to pass its gate.
 """
 
 import random
@@ -14,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftca.intlinalg import (
+    MODULAR_MIN_BITS,
     AbelianGroup,
     IntMatrix,
     SmithForm,
     _eliminate,
+    _modular_factors,
     cokernel,
     kernel,
     smith_form,
@@ -279,3 +283,99 @@ def test_invariant_factors_multiply_to_determinant(rows):
         assert prod(f.invariant_factors) == abs(det)
     else:
         assert f.rank < m.n_rows
+
+
+# -- the modular route ---------------------------------------------------------
+
+FIRST_PRIME = (1 << 31) - 1  # the first prime the modular route reduces by
+
+
+def unimodular(rng, n, mag):
+    """A seeded integer matrix of determinant 1: row additions applied to I."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-mag, mag)
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    return IntMatrix.from_rows(u)
+
+
+def diagonal(entries):
+    n = len(entries)
+    return IntMatrix.from_rows(
+        [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def hadamard_bits(m):
+    """Bits of the integer Hadamard bound sqrt(prod of squared row norms)."""
+    return prod(sum(x * x for x in row) for row in m.rows).bit_length() // 2
+
+
+def assert_modular_route(m):
+    """The modular route runs on m and agrees with the elimination route."""
+    got = _modular_factors(m)
+    assert got is not None
+    d = _eliminate(m)
+    assert got == tuple(d[i][i] for i in range(m.n_rows))
+    assert smith_form(m).invariant_factors == got
+    return got
+
+
+def test_modular_route_on_random_i_minus_a():
+    rng = random.Random(1)
+    second_last = []
+    for n in (40, 55, 70, 90):
+        f = assert_modular_route(i_minus_a(rng, n))
+        second_last.append(f[-2])
+    # cyclic cokernels (h = 1) and one with a second torsion factor
+    assert second_last == [2, 1, 1, 2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 20])
+def test_modular_route_on_known_factors(n):
+    rng = random.Random(70 + n)
+    ones, p = [1] * n, FIRST_PRIME
+    cases = [
+        (ones, ()),                         # det = 1
+        ([-1] + ones[1:], ()),              # det = -1
+        (ones[2:] + [2, 6], (2, 6)),        # h = 2
+        (ones[1:] + [p], (p,)),             # the first prime divides D
+        (ones[2:] + [2, 2 * p], (2, 2 * p)),
+        (ones[2:] + [p, p ** 2], (p, p ** 2)),
+    ]
+    for entries, torsion in cases:
+        u, v = unimodular(rng, n, 10 ** 6), unimodular(rng, n, 10 ** 6)
+        m = u @ diagonal(entries) @ v
+        assert hadamard_bits(m) > MODULAR_MIN_BITS
+        want = (1,) * (n - len(torsion)) + torsion
+        assert assert_modular_route(m) == want
+        if n <= 5:
+            assert determinantal_invariant_factors(m) == want
+
+
+def test_modular_route_on_entries_beyond_64_bits():
+    m = IntMatrix.from_rows([[2 ** 70 + 1, 3], [5, 2 ** 69]])
+    assert assert_modular_route(m) == determinantal_invariant_factors(m)
+    m = IntMatrix.from_rows(
+        [[-(2 ** 90), 2 ** 64, 7], [12, 2 ** 65, -3], [1, 1, 2 ** 63]]
+    )
+    assert assert_modular_route(m) == determinantal_invariant_factors(m)
+
+
+def test_singular_matrix_above_the_gate_falls_back():
+    rng = random.Random(12)
+    rows = i_minus_a(rng, 50).to_lists()
+    rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+    m = IntMatrix.from_rows(rows)
+    assert hadamard_bits(m) > MODULAR_MIN_BITS
+    assert _modular_factors(m) is None
+    d = _eliminate(m)
+    factors = smith_form(m).invariant_factors
+    assert factors == tuple(x for x in (d[i][i] for i in range(50)) if x)
+    assert len(factors) == 49
+    u, v = unimodular(rng, 4, 10 ** 6), unimodular(rng, 4, 10 ** 6)
+    small = u @ diagonal([1, 3, 3, 0]) @ v
+    assert hadamard_bits(small) > MODULAR_MIN_BITS
+    assert _modular_factors(small) is None
+    assert_matches_divisors(small)

@@ -73,8 +73,7 @@ def _block_recoding(p: Presentation):
             tail = w2[1:]
             if tail in index:
                 edges.append((index[w], index[tail], alphabet.index(w[0])))
-    names = [alphabet.format_word(w) for w in blocks]
-    return _essentialize(alphabet, len(blocks), edges, names)
+    return _essentialize(alphabet, edges, lambda v: alphabet.format_word(blocks[v]))
 
 
 def _answers(build):

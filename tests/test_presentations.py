@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +114,20 @@ def test_essentialization_prunes_dead_vertices():
     g = to_labeled_graph(p)
     assert g.n_vertices == 2
     assert is_in_language(p, ("b", "a"))
+
+
+def test_essentialization_work_follows_the_edges():
+    # a declared vertex count far above the edges' range costs nothing: the
+    # search starts from the edges' sources and only kept vertices are named
+    p = Presentation.labeled_graph(("a",), 10 ** 6, [(7, 7, "a"), (3, 999_999, "a")])
+    tracemalloc.start()
+    try:
+        g = to_labeled_graph(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n_vertices, g.vertex_names, g.edges) == (1, ("7",), ((0, 0, 0),))
+    assert peak < 1 << 20
 
 
 def test_word_formatting_multichar_symbols():
