@@ -14,7 +14,9 @@ conditions read every Pre_a from.  The finitely many word relations R_u (u
 ranging over admissible words) form a monoid under composition; its
 left-to-right Cayley graph — nodes are distinct nonzero relations, the edge
 for symbol a maps R_u to R_{u·a} — decides which of those sets are realized
-T-sets, and counts the points of each for condition (I).
+T-sets, and counts the points of each for condition (I).  Each relation
+is stored as one int, column by column, and a Cayley edge costs the
+nonzero columns it reads, not the vertex count (see :class:`MonoidGraph`).
 
 Words themselves — the admissible words of the relation checks, and the
 past words of the tower (which of two T-sets owns the shortlex-least word
@@ -39,7 +41,6 @@ from .presentations import EPSILON, Graph, Word
 
 DEFAULT_MONOID_CAP = 1_000_000
 
-
 class MonoidGraph:
     """Cayley graph of the word-relation monoid of a labeled graph.
 
@@ -47,65 +48,65 @@ class MonoidGraph:
     node reached from node i by composing with symbol a on the right, or None
     when the product is the zero relation.  Nodes are created in BFS order
     from the identity, symbols in alphabet order, so numbering is canonical.
+    ``doms[i]`` is the domain of node i: the vertices its words leave from.
 
-    ``nodes[i]`` stores the relation of node i by columns: bit v of
-    ``nodes[i][x]`` says the node's words lead from v to x.  Column x of
-    R·a is then the OR of the columns w of R over the a-labeled edges
-    w -> x, one OR per edge.
+    ``nodes[i]`` packs the columns of node i's relation into one int of at
+    most n² bits: column x is the n bits from x·n on, and bit v of it says
+    the node's words lead from v to x.  Zero columns cost no work: a node is
+    expanded by reading its nonzero columns off the top of its key.  Column
+    x of R·a is the OR of R's columns w over the a-labeled edges w -> x, so
+    R·a is built from R's nonzero columns only: column w times a
+    precomputed int with one bit per a-edge w -> x, at x·n, puts a copy of
+    column w at each of its a-targets, one multiplication per nonzero column
+    and symbol.  For an SFT every relation but the identity has one nonzero
+    column, so a Cayley edge costs a fixed number of operations on ints of
+    at most n² bits, not n ORs and an n-tuple.
     """
 
     def __init__(self, g: Graph, cap: int = DEFAULT_MONOID_CAP):
         self.graph = g
         n = g.n_vertices
-        # per symbol: (x, sources of the edges into x) for every target x
-        in_edges = []
-        for a in range(len(g.alphabet)):
-            sources: list[list[int]] = [[] for _ in range(n)]
-            for w, row in enumerate(g.symbol_relation_rows(a)):
-                for x in g.vertices_in(row):
-                    sources[x].append(w)
-            in_edges.append([(x, ws) for x, ws in enumerate(sources) if ws])
-        ident = tuple(1 << v for v in range(n))
-        self.nodes: list[tuple[int, ...]] = [ident]
-        doms = [(1 << n) - 1]
-        index: dict[tuple[int, ...], int] = {ident: 0}
+        n_sym = len(g.alphabet)
+        # per source w: a -> bit x·n for every a-edge w -> x
+        puts: list[dict[int, int]] = [{} for _ in range(n)]
+        for w, x, a in g.edges:
+            puts[w][a] = puts[w].get(a, 0) | 1 << x * n
+        spread = [list(put.items()) for put in puts]
+        ident = sum(1 << (v * n + v) for v in range(n))
+        self.nodes: list[int] = [ident]
+        index = {ident: 0}
+        doms = []
         self.step: list[list[Optional[int]]] = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                cols = self.nodes[i]
-                row: list[Optional[int]] = []
-                for edges in in_edges:
-                    prod = [0] * n
-                    dom = 0
-                    for x, ws in edges:
-                        acc = 0
-                        for w in ws:
-                            acc |= cols[w]
-                        prod[x] = acc
-                        dom |= acc
-                    if not dom:
-                        row.append(None)
-                        continue
-                    key = tuple(prod)
-                    j = index.get(key)
-                    if j is None:
-                        j = len(self.nodes)
-                        if j >= cap:
-                            raise MonoidBudgetExceeded(
-                                f"relation monoid exceeds cap {cap}"
-                            )
-                        index[key] = j
-                        self.nodes.append(key)
-                        doms.append(dom)
-                        nxt.append(j)
-                    row.append(j)
-                # step rows are appended in node order because BFS visits
-                # nodes in creation order
-                self.step.append(row)
-            frontier = nxt
-        # domain of each node: the OR of its columns
+        # BFS: nodes are expanded in creation order, so step rows are
+        # appended in node order
+        for key in self.nodes:
+            prods = [0] * n_sym
+            dom = 0
+            while key:
+                x = (key.bit_length() - 1) // n
+                sh = x * n
+                col = key >> sh
+                key ^= col << sh
+                dom |= col
+                for a, put in spread[x]:
+                    prods[a] |= col * put
+            doms.append(dom)
+            row: list[Optional[int]] = []
+            for prod in prods:
+                if not prod:
+                    row.append(None)
+                    continue
+                j = index.get(prod)
+                if j is None:
+                    j = len(self.nodes)
+                    if j >= cap:
+                        raise MonoidBudgetExceeded(
+                            f"relation monoid exceeds cap {cap}"
+                        )
+                    index[prod] = j
+                    self.nodes.append(prod)
+                row.append(j)
+            self.step.append(row)
         self.doms: tuple[int, ...] = tuple(doms)
 
     def __len__(self) -> int:
@@ -136,18 +137,27 @@ class MonoidGraph:
         return out
 
 
-def _trim_to_live(nodes: set[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
-    """Largest subset where every node keeps an outgoing edge inside the set
-    (iteratively delete out-degree-0 nodes)."""
-    alive = set(nodes)
-    changed = True
-    while changed:
-        changed = False
-        dead = [v for v in alive if not any(w in alive for w in successors(v))]
-        if dead:
-            alive.difference_update(dead)
-            changed = True
-    return alive
+def _trim_to_live(nodes: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
+    """Largest subset where every node keeps an outgoing edge inside the set:
+    count each node's edges into the set, then delete out-degree-0 nodes
+    from a worklist, taking one edge off each of their predecessors, so
+    every edge is looked at twice."""
+    into: dict[int, list[int]] = {v: [] for v in nodes}
+    degree = {}
+    for v in into:
+        d = 0
+        for w in successors(v):
+            if w in into:
+                into[w].append(v)
+                d += 1
+        degree[v] = d
+    dead = [v for v, d in degree.items() if not d]
+    while dead:
+        for v in into[dead.pop()]:
+            degree[v] -= 1
+            if not degree[v]:
+                dead.append(v)
+    return {v for v, d in degree.items() if d}
 
 
 def realized_tsets(monoid: MonoidGraph) -> tuple[int, ...]:

@@ -13,11 +13,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftca.cli import main
 from shiftca.conditions import _infinite_word_domains
 from shiftca.errors import EmptyShift, MonoidBudgetExceeded, WordNotInLanguage
 from shiftca.pastsets import (
     MonoidGraph,
     SubsetAutomaton,
+    _trim_to_live,
     point_past_set,
     predecessor_table,
     realized_tsets,
@@ -325,10 +327,36 @@ class _RowwiseMonoid:
         return tuple(r.dom for r in self.nodes)
 
 
+def _random_sft(rng, n):
+    matrix = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(n)]
+    return Presentation.sft(tuple(f"s{i}" for i in range(n)), matrix)
+
+
+def _dense_graphs(rng, count):
+    """Seeded random 7-vertex, 2-symbol graphs whose monoids have 800 to
+    2 400 nodes; most of their relations have several nonzero columns."""
+    found = 0
+    while found < count:
+        edges = {
+            (rng.randrange(7), rng.randrange(7), rng.choice("ab"))
+            for _ in range(rng.randint(10, 20))
+        }
+        p = Presentation.labeled_graph(("a", "b"), 7, sorted(edges))
+        try:
+            g = to_labeled_graph(p)
+            size = len(MonoidGraph(g, cap=2401))
+        except (EmptyShift, MonoidBudgetExceeded):
+            continue
+        if g.n_vertices == 7 and size >= 800:
+            found += 1
+            yield p
+
+
 def _monoid_corpus():
     """Every labeled graph with at most 2 vertices and 2 symbols, 500 seeded
     random graphs with at most 6 vertices and 3 symbols, the forbidden-word
-    shifts 0^3..0^8 and the mod-16 and mod-24 gap graphs."""
+    shifts 0^3..0^8, the mod-16 and mod-24 gap graphs, seeded random 0/1
+    SFTs with 8 to 20 vertices and dense random 7-vertex graphs."""
     yield from _small_graphs()
     rng = random.Random(31013)
     for _ in range(500):
@@ -343,10 +371,27 @@ def _monoid_corpus():
     for k in (16, 24):
         gap = [(0, 0, "0")] + [(i, (i + 1) % k, "1") for i in range(k)]
         yield Presentation.labeled_graph(("0", "1"), k, gap)
+    rng = random.Random(1307)
+    for n in (8, 11, 14, 17, 20):
+        yield _random_sft(rng, n)
+    yield from _dense_graphs(rng, 3)
+
+
+def _relation_rows(m: MonoidGraph, i: int) -> tuple[int, ...]:
+    """Rows of node i's relation (bit x of row v: v -> x), unpacked from its
+    key, where column x is the n bits from x·n on."""
+    n = m.graph.n_vertices
+    full = (1 << n) - 1
+    key = m.nodes[i]
+    assert key.bit_length() <= n * n
+    cols = [(key >> x * n) & full for x in range(n)]
+    return tuple(
+        sum(1 << x for x, col in enumerate(cols) if col >> v & 1) for v in range(n)
+    )
 
 
 def test_columnwise_monoid_matches_rowwise_reference():
-    graphs = nodes = 0
+    graphs = nodes = sfts = 0
     for p in _monoid_corpus():
         try:
             g = to_labeled_graph(p)
@@ -356,14 +401,81 @@ def test_columnwise_monoid_matches_rowwise_reference():
         assert len(got) == len(want)
         assert got.step == want.step
         assert got.doms == want.doms
-        # each node's relation: its columns, transposed, are the reference rows
-        for cols, ref in zip(got.nodes, want.nodes):
-            rows = tuple(
-                sum(1 << x for x, col in enumerate(cols) if col >> v & 1)
-                for v in range(len(cols))
-            )
-            assert rows == ref.rows
+        rows = [_relation_rows(got, i) for i in range(len(got))]
+        assert rows == [ref.rows for ref in want.nodes]
+        if p.kind == "sft" and g.n_vertices >= 8:
+            # every relation but the identity has one nonzero column
+            for r in rows[1:]:
+                cols = 0
+                for row in r:
+                    cols |= row
+                assert cols & (cols - 1) == 0
+            sfts += 1
         graphs += 1
         nodes += len(got)
-    assert graphs > 500 and nodes > 10_000
+    assert graphs > 500 and nodes > 15_000 and sfts == 5
 
+
+_CAP_RNG = random.Random(607)
+_CAP_BOUNDARY = {
+    "golden": GOLDEN,
+    "even": EVEN,
+    "0^8": Presentation.forbidden_words(("0", "1"), [("0",) * 8]),
+    "sft6": _random_sft(_CAP_RNG, 6),
+    "graph7": next(_dense_graphs(_CAP_RNG, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CAP_BOUNDARY))
+def test_monoid_cap_boundary(name, tmp_path, capsys):
+    # a cap equal to the monoid's size builds it whole; one less stops
+    p = _CAP_BOUNDARY[name]
+    g = to_labeled_graph(p)
+    m = MonoidGraph(g)
+    at = MonoidGraph(g, cap=len(m))
+    assert (at.nodes, at.step, at.doms) == (m.nodes, m.step, m.doms)
+    with pytest.raises(MonoidBudgetExceeded):
+        MonoidGraph(g, cap=len(m) - 1)
+    assert build_tower(p, monoid_cap=len(m)).monoid.step == m.step
+    with pytest.raises(MonoidBudgetExceeded):
+        build_tower(p, monoid_cap=len(m) - 1)
+    path = tmp_path / f"{name}.json"
+    path.write_text(p.to_json())
+    argv = ["kgroups", "-i", str(path), "--json"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    assert main(argv + ["--monoid-cap", str(len(m))]) == 0
+    assert capsys.readouterr().out == whole
+    assert main(argv + ["--monoid-cap", str(len(m) - 1)]) == 2
+    assert "monoid" in capsys.readouterr().err
+
+
+def _trim_by_rescans(nodes, successors):
+    """The trim as a fixpoint of full rescans: the reference for the
+    worklist in ``_trim_to_live``."""
+    alive = set(nodes)
+    while True:
+        dead = [v for v in alive if not any(w in alive for w in successors(v))]
+        if not dead:
+            return alive
+        alive.difference_update(dead)
+
+
+def test_trim_to_live_matches_rescans():
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        succ = {
+            v: [rng.randrange(n + 5) for _ in range(rng.randint(0, 3))]
+            for v in range(n + 5)
+        }
+        nodes = set(rng.sample(range(n + 5), n))
+        assert _trim_to_live(nodes, succ.__getitem__) == _trim_by_rescans(
+            nodes, succ.__getitem__
+        )
+    for _, m in _table_corpus():
+        for d in set(m.doms):
+            group = {i for i, e in enumerate(m.doms) if e == d}
+            assert _trim_to_live(group, m.successors) == _trim_by_rescans(
+                group, m.successors
+            )
