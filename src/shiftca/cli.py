@@ -179,7 +179,7 @@ def tower_dump(tw: Tower) -> dict:
     alpha = tw.graph.alphabet
     top = tw.top_level
     words = sum(
-        tw.automaton.count_words(c.tsets[0], l)
+        tw.count_words(c.tsets[0], l)
         for l in range(top + 1)
         for c in tw.levels[l].classes
     )
@@ -240,7 +240,7 @@ def cmd_classes(args) -> int:
         for i, c in enumerate(tw.levels[final].classes):
             first = islice(tw.automaton.words(c.tsets[0], final), 8)
             shown = ", ".join(repr(alpha.format_word(w)) for w in first)
-            count = tw.automaton.count_words(c.tsets[0], final)
+            count = tw.count_words(c.tsets[0], final)
             if count > 8:
                 shown += f", ... ({count} words)"
             print(f"  class {i}: {{{shown}}}")

@@ -32,7 +32,7 @@ from typing import Optional
 from .errors import IdealBudgetExceeded, IllDefinedTransition, NotStabilized
 from .pastsets import MonoidGraph, _trim_to_live
 from .presentations import Word
-from .tower import Tower
+from .tower import Tower, refine
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -190,11 +190,6 @@ def _point_counts(
     return out
 
 
-def _live_nodes_for(monoid: MonoidGraph, t: int) -> set[int]:
-    s_nodes = {i for i in range(len(monoid)) if monoid.doms[i] == t}
-    return _trim_to_live(s_nodes, monoid.successors)
-
-
 def _reverify_unique_point(
     tw: Tower, level: int, class_index: int, prefix: Word, cycle: Word, depth: int
 ) -> None:
@@ -236,7 +231,7 @@ def _reverify_unique_point(
     # some member T-set
     targets: set[int] = set()
     for t in tw.level(level).classes[class_index].tsets:
-        targets |= _live_nodes_for(monoid, t)
+        targets |= monoid.live_by_dom[t]
     ok = set(targets)
     rev: dict[int, set[int]] = {}
     for v in range(len(monoid)):
@@ -273,9 +268,12 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
 
     Checked at the stabilized level: classes below stabilization are unions
     of stabilized classes and every class carries at least one point, so a
-    singleton exists at some level iff one exists at stabilization.  When the
-    tower never stabilized within its budget the verdict is computed at the
-    top built level and flagged as a bounded search.  The points of all
+    one-point class at a coarser level is a one-point stable class, but a
+    coarse class of two points can still split into one-point classes.  At
+    a level below ``stabilized_at`` (an explicit ``level``, or the top built
+    level of a tower that never stabilized within its budget) a singleton
+    therefore FAILS, and its absence is INCONCLUSIVE with that level as the
+    bounded-search radius.  The points of all
     T-sets are counted together (clamped at 2) by one pass over the monoid
     graph.  A failure certificate names the class and its unique eventually
     periodic point, and is re-verified by an independent enumeration to
@@ -320,7 +318,9 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
                 {"class": i, "points": ">=2"} for i in sorted(witnesses)
             ],
         }
-        return Verdict("I", HOLDS, bound, cert)
+        if tw.stabilized_at is None or lvl < tw.stabilized_at:
+            return Verdict("I", INCONCLUSIVE, lvl, cert)
+        return Verdict("I", HOLDS, None, cert)
     idx, (prefix, cycle) = singleton
     depth = 2 * len(tw.monoid)
     _reverify_unique_point(tw, lvl, idx, prefix, cycle, depth)
@@ -367,7 +367,8 @@ def condition_star(tw: Tower) -> Verdict:
     can be pumped), so the candidates are what is left after trimming B to
     the states with a predecessor inside the set.  Past-set equality at
     every depth is decided by refining one partition over *all* states of B
-    (closed under nonzero one-symbol predecessors) to its own fixpoint: two
+    (closed under nonzero one-symbol predecessors) to its own fixpoint, one
+    :func:`~shiftca.tower.refine` round at a time, as the tower does: two
     states share a block at the fixpoint iff their past sets agree at every
     finite depth.  The computation is self-contained, so the verdict status
     is exact even for an unstabilized tower; the method is downgraded to a
@@ -376,20 +377,14 @@ def condition_star(tw: Tower) -> Verdict:
     table = tw.pre
     flagged = sorted(_infinite_word_domains(table))
     realized = set(tw.tsets)
-    universe = sorted(table)
-    block = {s: 0 for s in universe}
+    blocks = [list(table)]
     fixpoint_level = 0
     while True:
-        sigs = {
-            s: (block[s], *(-1 if p == 0 else block[p] for p in table[s]))
-            for s in universe
-        }
-        relabel = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        # each signature starts with the old block, so the new partition
-        # refines the old one: equal block counts mean equal partitions
-        if len(relabel) == len(set(block.values())):
+        block = {s: i for i, members in enumerate(blocks) for s in members}
+        finer = refine(table, block, table)
+        if len(finer) == len(blocks):
             break
-        block = {s: relabel[sigs[s]] for s in universe}
+        blocks = finer
         fixpoint_level += 1
 
     matches = []

@@ -57,7 +57,6 @@ class KGroupsReport:
 def _stable_B(tw: Tower, l: int) -> IntMatrix:
     """B at a stabilized level, rows pulled back through the refinement
     permutation so both indices live over the level-l classes."""
-    tw.ensure_level(l + 1)
     return stable_permutation(tw, l).transpose() @ matrix_B(tw, l)
 
 
@@ -65,8 +64,11 @@ def k_groups(tw: Tower, allow_partial: bool = False) -> KGroupsReport:
     """K0/K1 of the shift from its stabilized tower.
 
     When the tower failed to stabilize within its level budget, the result is
-    only available as an approximation at the deepest built level; that
-    requires ``allow_partial=True`` and comes back flagged ``exact=False``.
+    only available as an approximation at the level below the top, whose B
+    reads the top level; that requires ``allow_partial=True`` and comes back
+    flagged ``exact=False``.  B needs M_1, so a tower of fewer than three
+    levels has no approximation and raises :class:`TowerTooShallow`: no
+    level past the budget is built.
     """
     if tw.stabilized_at is None:
         if not allow_partial:
@@ -74,7 +76,12 @@ def k_groups(tw: Tower, allow_partial: bool = False) -> KGroupsReport:
                 f"not stabilized within {tw.top_level} levels; "
                 "rerun with a larger level budget or allow_partial"
             )
-        l = max(tw.top_level - 1, 1)
+        if tw.top_level < 2:
+            raise TowerTooShallow(
+                f"not stabilized within {tw.top_level} levels, and an "
+                "approximation needs 2; rerun with a larger level budget"
+            )
+        l = tw.top_level - 1
         s = smith_form(matrix_B(tw, l))
         return KGroupsReport(s.cokernel(), s.kernel(), exact=False, level=l)
     l = max(tw.stabilized_at, 1)  # B needs M_1, which needs level >= 1

@@ -18,12 +18,13 @@ T-sets, and counts the points of each for condition (I).  Each relation
 is stored as one int, column by column, and a Cayley edge costs the
 nonzero columns it reads, not the vertex count (see :class:`MonoidGraph`).
 
-Words themselves — the admissible words of the relation checks, and the
-past words of the tower (which of two T-sets owns the shortlex-least word
-the other lacks, how many words a past set holds, the words in shortlex
-order) — are enumerated on one object, :class:`SubsetAutomaton`, the
-forward subset automaton from the full vertex set; no other code lists
-them.
+Whether and how often a T-set has a past word of a given length is read
+off the predecessor table (``Tower.past_counts``).  Which words they are —
+the admissible words of the relation checks, and the past words of the
+tower (which of two T-sets owns the shortlex-least word the other lacks,
+whether a later word follows it, the words in shortlex order) — is
+answered on one object, :class:`SubsetAutomaton`, the forward subset
+automaton from the full vertex set; no other code lists them.
 
 Vertex sets and relation rows or columns are Python int bitmasks (bit v =
 vertex v).
@@ -203,7 +204,7 @@ class SubsetAutomaton:
     computed the first time a state is read (:meth:`rows`, :meth:`step`,
     :meth:`state_of`), so a truncation pays only for the states its words
     reach.  The past-word questions (:meth:`separating_word`,
-    :meth:`count_words`, :meth:`words`, ...) are path questions from
+    :meth:`has_later_word`, :meth:`words`) are path questions from
     :data:`START`, answered by one bitmask over states per word length
     (bit s = state s) on the full expansion.  post*(V, u) is the range of
     R_u, so it has at most as many live states as the relation monoid has
@@ -217,7 +218,6 @@ class SubsetAutomaton:
         self._table = np.zeros((16, len(g.alphabet)), dtype=np.int64)
         self._rows = 1  # rows below this are filled; the dead row is zeros
         self._live: dict[int, list[int]] = {}
-        self._counts: list[list[int]] = []
 
     def _fill(self, need: int) -> None:
         """Compute the rows of the states below ``need``."""
@@ -291,10 +291,13 @@ class SubsetAutomaton:
             rows.append(self.pre(rows[-1]))
         return rows[k]
 
-    def separating_word(self, t1: int, t2: int, level: int) -> Optional[list[int]]:
+    def separating_word(
+        self, t1: int, t2: int, level: int
+    ) -> Optional[tuple[list[int], bool]]:
         """Shortlex-least word of length <= ``level`` that is a past of
-        exactly one of t1 and t2, as symbol indices; None when the two past
-        sets agree up to the level."""
+        exactly one of t1 and t2, as symbol indices, and whether it is a
+        past of t1 (its state meets t1); None when the two past sets agree
+        up to the level."""
         # sep[r]: states from which some length-r word separates t1 from t2
         sep = [self.live(t1, 0) ^ self.live(t2, 0)]
         while not sep[-1] >> START & 1:
@@ -308,15 +311,7 @@ class SubsetAutomaton:
             a = next(a for a, j in enumerate(step[s]) if sep[r] >> j & 1)
             word.append(a)
             s = step[s][a]
-        return word
-
-    def is_past(self, tset: int, word: Sequence[int]) -> bool:
-        """An admissible ``word`` is a past of ``tset``."""
-        step = self._full[0]
-        s = START
-        for a in word:
-            s = step[s][a]
-        return bool(self.sets[s] & tset)
+        return word, bool(self.sets[s] & t1)
 
     def has_later_word(self, tset: int, word: Sequence[int]) -> bool:
         """Some past word of ``tset`` of the same length as the admissible
@@ -330,26 +325,6 @@ class SubsetAutomaton:
                 return True
             s = row[a]
         return False
-
-    def count_words(self, tset: int, level: int) -> int:
-        """|P_level(tset)|: the words of length <= level from :data:`START`
-        into a state meeting ``tset``, counted per state and length."""
-        step = self._full[0]
-        counts = self._counts
-        if not counts:
-            counts.append([int(s == START) for s in range(len(step))])
-        while len(counts) <= level:
-            nxt = [0] * len(step)
-            for s, c in enumerate(counts[-1]):
-                if c:
-                    for j in step[s]:
-                        nxt[j] += c
-            counts.append(nxt)
-        meets = self.live(tset, 0)
-        return sum(
-            c for k in range(level + 1)
-            for s, c in enumerate(counts[k]) if meets >> s & 1
-        )
 
     def words(self, tset: int, level: int) -> Iterator[Word]:
         """The past words of ``tset`` up to ``level`` in shortlex order,

@@ -8,6 +8,11 @@ refinement over signatures
 
     sig(t) = (class_l(t), (class_l(Pre_a(t)) or "dead" : a in alphabet)).
 
+:func:`refine` runs one round, for the tower and for ``condition_star``.
+Past-word counts come from the same predecessor table ``Tower.pre``: N_k(t),
+the number of past words of length exactly k, is the sum of N_{k-1}(Pre_a(t))
+over the symbols a with Pre_a(t) nonempty, and N_0 = 1.
+
 The partition stabilizes after finitely many rounds; the level at which it
 first repeats is ``stabilized_at``.  Within a level, classes are sorted by
 their past sets, each a shortlex-sorted word list, compared
@@ -21,8 +26,8 @@ the first and sorts first instead.  u is found on
 that also enumerates the relation checks' words: a table per length r of
 the states from which some length-r word separates the two T-sets, the
 least r whose table holds the start state, then a greedy descent to the
-lexicographically least such word.  The same automaton counts past words
-and lists them for the ``classes`` report.
+lexicographically least such word, whose end state says which side holds
+it.  The same automaton lists past words for the ``classes`` report.
 
 Matrices (all exact integer, rows indexed by the finer level):
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import IllDefinedTransition, InputFormatError
 from .intlinalg import IntMatrix
@@ -64,13 +69,8 @@ class PastClass:
 
     index: int
     tsets: tuple[int, ...]  # member T-set bitmasks, ascending
-    # entry k: some past word of length exactly k, by the recurrence
-    # exact_k(t) = OR_a exact_{k-1}(Pre_a t) over the realized T-sets
+    # entry k: some past word of length exactly k (N_k > 0)
     has_exact_past: tuple[bool, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.tsets)
 
 
 @dataclass(frozen=True)
@@ -104,31 +104,38 @@ class Tower:
         self.levels: list[TowerLevel] = []
         self.stabilized_at: Optional[int] = None
         self._class_maps: list[dict[int, int]] = []  # per level: tset -> class idx
-        self._exact: list[frozenset[int]] = []  # per k: T-sets with a length-k past
+        self._counts: list[dict[int, int]] = [dict.fromkeys(self.tsets, 1)]
         self._append_level([list(self.tsets)])
+
+    def past_counts(self, k: int) -> dict[int, int]:
+        """N_k: realized T-set -> its number of past words of length exactly
+        k.  Pre_{u·a}(t) = Pre_u(Pre_a t), and Pre_a of a realized T-set is
+        realized or empty, so N_k follows from N_{k-1} on the realized
+        T-sets alone; the table grows to k on demand."""
+        counts = self._counts
+        while len(counts) <= k:
+            prev = counts[-1]
+            counts.append(
+                {t: sum(prev[p] for p in self.pre[t] if p) for t in self.tsets}
+            )
+        return counts[k]
+
+    def count_words(self, tset: int, level: int) -> int:
+        """|P_level(tset)|: the past words of ``tset`` of length <= level."""
+        return sum(self.past_counts(k)[tset] for k in range(level + 1))
 
     # -- construction ------------------------------------------------------
 
     def _append_level(self, blocks: list[list[int]]) -> None:
         level = len(self.levels)
-        # Pre_{u·a}(t) = Pre_u(Pre_a t), and Pre_a of a realized T-set is
-        # realized or empty, so the length-k flags follow from the length-(k-1)
-        # ones
-        if level == 0:
-            self._exact.append(frozenset(self.tsets))
-        else:
-            prev = self._exact[-1]
-            self._exact.append(frozenset(
-                t for t in self.tsets
-                if any(p in prev for p in self.pre[t])
-            ))
+        exact = [self.past_counts(k) for k in range(level + 1)]
         flagged = []
         for members in blocks:
             members = sorted(members)
-            flags = tuple(members[0] in self._exact[k] for k in range(level + 1))
+            flags = tuple(n_k[members[0]] > 0 for n_k in exact)
             # members of one class agree on every flag up to the level
             for t in members[1:]:
-                if tuple(t in self._exact[k] for k in range(level + 1)) != flags:
+                if tuple(n_k[t] > 0 for n_k in exact) != flags:
                     raise IllDefinedTransition(
                         f"class members disagree on exact-length pasts at level {level}"
                     )
@@ -151,8 +158,8 @@ class Tower:
         self._class_maps.append(
             {t: c.index for c in classes for t in c.tsets}
         )
-        # each signature starts with the current class, so level l refines
-        # level l - 1, and an equal class count means an equal partition
+        # level l refines level l - 1 (see refine), so an equal class count
+        # means an equal partition
         if (
             self.stabilized_at is None
             and level > 0
@@ -163,32 +170,23 @@ class Tower:
     def _compare_pasts(self, x, y, level: int) -> int:
         """-1 when class x's depth-``level`` past list sorts before y's; x
         and y are (sorted members, exact-length flags)."""
-        auto = self.automaton
         (tx, fx), (ty, fy) = x, y
-        u = auto.separating_word(tx[0], ty[0], level)
-        if u is None:
+        found = self.automaton.separating_word(tx[0], ty[0], level)
+        if found is None:
             raise IllDefinedTransition(
                 f"two classes at level {level} have the same past set"
             )
-        x_holds = auto.is_past(tx[0], u)
+        u, x_holds = found
         other, other_flags = (ty, fy) if x_holds else (tx, fx)
         # the holder of u sorts first, unless the other list stops before u
-        other_goes_on = auto.has_later_word(other[0], u) or any(
+        other_goes_on = self.automaton.has_later_word(other[0], u) or any(
             other_flags[len(u) + 1:]
         )
         return -1 if x_holds == other_goes_on else 1
 
-    def _refine_once(self) -> list[list[int]]:
-        cmap = self._class_maps[-1]
-        groups: dict[tuple, list[int]] = {}
-        for t in self.tsets:
-            sig = (cmap[t], *(-1 if p == 0 else cmap[p] for p in self.pre[t]))
-            groups.setdefault(sig, []).append(t)
-        return list(groups.values())
-
     def ensure_level(self, level: int) -> None:
         while len(self.levels) <= level:
-            self._append_level(self._refine_once())
+            self._append_level(refine(self.tsets, self._class_maps[-1], self.pre))
 
     @property
     def top_level(self) -> int:
@@ -212,6 +210,19 @@ class Tower:
             "m": [lvl.m for lvl in self.levels],
             "stabilized_at": self.stabilized_at,
         }
+
+
+def refine(
+    states: Iterable[int], block: dict[int, int], table: dict[int, tuple[int, ...]]
+) -> list[list[int]]:
+    """One refinement round: ``states`` grouped by signature (block of s,
+    then the block of each Pre_a(s) in ``table``, -1 when empty).  It starts
+    with the old block, so equal counts mean equal partitions."""
+    groups: dict[tuple, list[int]] = {}
+    for s in states:
+        sig = (block[s], *(-1 if p == 0 else block[p] for p in table[s]))
+        groups.setdefault(sig, []).append(s)
+    return list(groups.values())
 
 
 def build_tower(

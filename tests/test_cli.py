@@ -9,9 +9,24 @@ import pytest
 import shiftca.cli
 import shiftca.conditions
 import shiftca.repcheck
-from shiftca.cli import main
+from shiftca.cli import DEFAULT_REPCHECK_DEPTH, main, tower_dump
+from shiftca.conditions import (
+    aperiodic_past,
+    condition_I,
+    condition_star,
+    ideal_lattice,
+    irreducible_past,
+)
+from shiftca.invariants import bowen_franks, ck_oracle, dimension_group, k_groups
 from shiftca.pastsets import SubsetAutomaton
 from shiftca.presentations import Presentation
+from shiftca.repcheck import (
+    RelationReport,
+    build_truncation,
+    check_ck_relations,
+    check_universal_relations,
+)
+from shiftca.tower import build_tower
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
 FULL3 = Presentation.sft(("0", "1", "2"), ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
@@ -119,6 +134,15 @@ def test_check_failing_condition_still_exits_zero(inputs, capsys):
     )
 
 
+def test_check_I_below_stabilization_is_inconclusive(inputs, capsys):
+    # the even shift stabilizes at level 2, where a one-point class splits off
+    code, out, _ = run(
+        capsys, ["check", "-i", inputs["even"], "--condition", "I", "-l", "1"]
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == ["INCONCLUSIVE", "method: bounded search to depth 1"]
+
+
 def test_check_bounded_method_line(inputs, capsys):
     code, out, _ = run(
         capsys, ["check", "-i", inputs["gm"], "--condition", "aperiodic"]
@@ -162,6 +186,18 @@ def test_repcheck_over_relation_budget_exit_two(inputs, capsys, monkeypatch):
     assert (code, out) == (0, "all 167 relation checks passed (depth 6, basis 53)\n")
 
 
+def test_repcheck_names_skipped_symbols(capsys, tmp_path):
+    # b never follows anything, so it labels no edge of the graph
+    path = tmp_path / "b_never.json"
+    path.write_text(Presentation.sft(("a", "b"), ((1, 0), (1, 0))).to_json())
+    code, out, _ = run(capsys, ["repcheck", "-i", str(path)])
+    assert code == 0
+    assert out.splitlines() == [
+        "all 32 relation checks passed (depth 6, basis 7)",
+        "skipped symbols (never occur): ['b']",
+    ]
+
+
 def test_oracle_ck_line(inputs, capsys):
     code, out, _ = run(capsys, ["oracle-ck", "-i", inputs["full3"]])
     assert code == 0
@@ -186,11 +222,13 @@ def test_bowen_franks_line(inputs, capsys):
 
 
 def test_budget_exit_and_allow_partial(inputs, capsys):
-    for cmd, line in (
-        ("kgroups", "K0 = Z, K1 = 0 (approximate, level 1)"),
-        ("classes", "not stabilized within 1 levels"),
+    # the kgroups approximation at level 1 reads level 2, so it needs a
+    # budget of 2; with 1 it stops without building past the budget
+    for cmd, budget, line in (
+        ("kgroups", "2", "K0 = Z, K1 = 0 (approximate, level 1)"),
+        ("classes", "1", "not stabilized within 1 levels"),
     ):
-        argv = [cmd, "-i", inputs["even"], "-l", "1"]
+        argv = [cmd, "-i", inputs["even"], "-l", budget]
         code, out, _ = run(capsys, argv)
         assert code == 2, cmd
         assert line in out.splitlines()
@@ -198,16 +236,26 @@ def test_budget_exit_and_allow_partial(inputs, capsys):
         code, partial, _ = run(capsys, argv + ["--allow-partial"])
         assert code == 0, cmd
         assert partial == out
+    for extra in ([], ["--allow-partial"]):
+        argv = ["kgroups", "-i", inputs["even"], "-l", "1"] + extra
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 def test_json_mode_routes_approximate_note_to_stderr(inputs, capsys):
     code, out, err = run(
-        capsys, ["kgroups", "-i", inputs["even"], "-l", "1", "--json"]
+        capsys, ["kgroups", "-i", inputs["even"], "-l", "2", "--json"]
     )
     assert code == 2
     doc = json.loads(out)
     assert doc["exact"] is False
     assert "APPROXIMATE" in err
+    code, out, err = run(
+        capsys, ["kgroups", "-i", inputs["even"], "-l", "1", "--json"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_input_errors_exit_one(inputs, capsys, tmp_path):
@@ -305,6 +353,43 @@ def test_json_output_is_deterministic(inputs, capsys):
     assert run(capsys, ["classes", "-i", inputs["gm"], "--json"]) == (
         0, GOLDEN_CLASSES_JSON, ""
     )
+
+
+def _golden_repcheck() -> dict:
+    """The universal and CK checks merged, as ``repcheck`` reports them."""
+    rep = build_truncation(GOLDEN, DEFAULT_REPCHECK_DEPTH)
+    rr = check_universal_relations(rep)
+    ck = check_ck_relations(rep)
+    return RelationReport(
+        rr.depth, rr.basis_size, rr.checks + ck.checks, ck.skipped_symbols
+    ).to_json_dict()
+
+
+def _on_golden_tower(report):
+    return lambda: report(build_tower(GOLDEN)).to_json_dict()
+
+
+GOLDEN_REPORTS = {
+    "classes": lambda: tower_dump(build_tower(GOLDEN)),
+    "kgroups": _on_golden_tower(k_groups),
+    "dimension-group": _on_golden_tower(dimension_group),
+    "bf": lambda: bowen_franks(GOLDEN).to_json_dict(),
+    "check --condition I": _on_golden_tower(condition_I),
+    "check --condition star": _on_golden_tower(condition_star),
+    "check --condition aperiodic": _on_golden_tower(aperiodic_past),
+    "check --condition irreducible": _on_golden_tower(irreducible_past),
+    "ideals": _on_golden_tower(ideal_lattice),
+    "repcheck": _golden_repcheck,
+    "oracle-ck": lambda: ck_oracle(GOLDEN).to_json_dict(),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_REPORTS))
+def test_json_stdout_is_the_library_report(command, inputs, capsys):
+    code, out, err = run(capsys, command.split() + ["-i", inputs["gm"], "--json"])
+    assert (code, err) == (0, "")
+    report = GOLDEN_REPORTS[command]()
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_ideals_over_budget_exit_two(capsys, tmp_path, monkeypatch):

@@ -106,6 +106,31 @@ def test_even_shift_condition_verdicts():
     assert v.certificate["note"] == "reachability is sufficient, not necessary"
 
 
+def test_condition_I_below_stabilization_is_inconclusive():
+    # the even shift's one-point class splits off at its stable level 2;
+    # above it every class has two points
+    tw = build_tower(EVEN)
+    assert tw.stabilized_at == 2
+    for level in (0, 1):
+        v = condition_I(tw, level=level)
+        assert (v.status, v.method) == ("inconclusive", {"bounded_search": level})
+    v = condition_I(tw, level=2)
+    assert (v.status, v.method) == ("fails", "exact")
+    v = condition_I(build_tower(EVEN, max_level=1))
+    assert (v.status, v.method) == ("inconclusive", {"bounded_search": 1})
+    # a one-point class at a coarse level is a one-point stable class
+    v = condition_I(build_tower(EVEN, max_level=2))
+    assert (v.status, v.method) == ("fails", {"bounded_search": 2})
+    # the even shift plus a fixed point c: c^oo is alone from level 1 on
+    tw = build_tower(Presentation.labeled_graph(
+        ("0", "1", "c"), 3, [(0, 0, "0"), (0, 1, "1"), (1, 0, "1"), (2, 2, "c")]
+    ))
+    assert tw.stabilized_at == 2
+    v = condition_I(tw, level=1)
+    assert (v.status, v.method) == ("fails", "exact")
+    assert v.certificate["point"] == {"prefix": "c", "period": "c"}
+
+
 def test_single_point_condition_verdicts():
     tw = build_tower(POINT)
     v = condition_I(tw)

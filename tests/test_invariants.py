@@ -63,18 +63,20 @@ def test_point_and_even_k_groups():
 
 
 def test_k_groups_partial_path():
-    shallow = build_tower(EVEN, max_level=1)
+    shallow = build_tower(EVEN, max_level=2)
     with pytest.raises(TowerTooShallow):
         k_groups(shallow)
-    rep = k_groups(build_tower(EVEN, max_level=1), allow_partial=True)
+    rep = k_groups(build_tower(EVEN, max_level=2), allow_partial=True)
     assert not rep.exact
     assert rep.level == 1
     # the level-1 approximation has not yet separated the two parities
     assert (rep.k0, rep.k1) == (Z, TRIVIAL)
-    # building B one level deeper stabilizes the golden tower; the report
-    # still describes the budget it was given
-    rep = k_groups(build_tower(GOLDEN, max_level=1), allow_partial=True)
-    assert (rep.k0, rep.k1, rep.exact, rep.level) == (TRIVIAL, TRIVIAL, False, 1)
+    # B at level 1 reads level 2, past a budget of 1: no approximation, and
+    # no level past the budget is built
+    tw = build_tower(GOLDEN, max_level=1)
+    with pytest.raises(TowerTooShallow):
+        k_groups(tw, allow_partial=True)
+    assert (tw.top_level, tw.stabilized_at) == (1, None)
 
 
 def test_golden_dimension_group():
@@ -191,7 +193,7 @@ def test_one_smith_decomposition_per_group_pair(monkeypatch):
     for run in (
         lambda: ck_oracle(full_shift(3)),
         lambda: k_groups(build_tower(GOLDEN)),
-        lambda: k_groups(build_tower(EVEN, max_level=1), allow_partial=True),
+        lambda: k_groups(build_tower(EVEN, max_level=2), allow_partial=True),
     ):
         calls.clear()
         run()

@@ -242,7 +242,7 @@ def test_automaton_counts_and_walks_match_word_lists():
         for t in tw.tsets:
             for l in range(4):
                 words = lister.words_of_set(t, l)
-                assert tw.automaton.count_words(t, l) == len(words)
+                assert tw.count_words(t, l) == len(words)
                 assert tuple(tw.automaton.words(t, l)) == words
 
 
