@@ -272,8 +272,8 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
     coarse class of two points can still split into one-point classes.  At
     a level below ``stabilized_at`` (an explicit ``level``, or the top built
     level of a tower that never stabilized within its budget) a singleton
-    therefore FAILS, and its absence is INCONCLUSIVE with that level as the
-    bounded-search radius.  The points of all
+    therefore FAILS exactly, and its absence is INCONCLUSIVE with that level
+    as the bounded-search radius.  The points of all
     T-sets are counted together (clamped at 2) by one pass over the monoid
     graph.  A failure certificate names the class and its unique eventually
     periodic point, and is re-verified by an independent enumeration to
@@ -284,14 +284,12 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
     ``period`` are properties of the presenting graph: two presentations of
     one shift can give different values.
     """
-    if level is None:
-        if tw.stabilized_at is None:
-            lvl: int = tw.top_level
-            bound: Optional[int] = tw.top_level
-        else:
-            lvl, bound = tw.stabilized_at, None
+    if level is not None:
+        lvl = level
+    elif tw.stabilized_at is None:
+        lvl = tw.top_level
     else:
-        lvl, bound = level, None
+        lvl = tw.stabilized_at
     tier = tw.level(lvl)
     counts = _point_counts(tw.monoid)
     witnesses = {}
@@ -334,7 +332,7 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
         },
         "reverified_to_depth": depth,
     }
-    return Verdict("I", FAILS, bound, cert)
+    return Verdict("I", FAILS, None, cert)
 
 
 # ---------------------------------------------------------------------------

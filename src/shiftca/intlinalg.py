@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, prod
 from typing import Iterator, Sequence
 
@@ -56,8 +56,10 @@ class IntMatrix:
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise ValueError(f"ragged rows: widths {sorted(widths)}")
-        for r in self.rows:
-            for x in r:
+        # one C-level pass over the types; the loop only names the entry
+        # (int subclasses other than bool are accepted)
+        if set(map(type, chain.from_iterable(self.rows))) - {int}:
+            for x in chain.from_iterable(self.rows):
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(f"non-integer entry {x!r}")
 

@@ -509,6 +509,7 @@ def language_upto(p: Presentation | Graph, k: int) -> list[Word]:
 
 
 def require_word_in_language(g: Graph, word: Word) -> None:
+    """Raise WordNotInLanguage unless some point contains ``word``."""
     if _end_set(g, word) == 0:
         raise WordNotInLanguage(
             f"word {g.alphabet.format_word(word)!r} is not admissible"

@@ -29,6 +29,18 @@ least r whose table holds the start state, then a greedy descent to the
 lexicographically least such word, whose end state says which side holds
 it.  The same automaton lists past words for the ``classes`` report.
 
+The order work is shared across levels.  Per pair of representative
+T-sets, |u|, the side holding u and whether the other side has a later
+word of length |u| are found once: u is still the least separating word at
+every deeper level, because shortlex puts shorter words first.  Only
+whether the other side has a longer word depends on the level, and the
+class flags answer it.  Each level is sorted from its parent's order
+(parent index, then least member).  The comparator is a strict total
+order, so the start does not change the result, only the number of
+comparisons, close to m on a nearly sorted level.  A class's flags are its
+parent's plus the one for length l, and only that one is checked across
+its members.
+
 Matrices (all exact integer, rows indexed by the finer level):
 
 * ``matrix_I(tw, l)``  — 0-1 refinement matrix: entry (i, j) = 1 iff level-
@@ -105,6 +117,7 @@ class Tower:
         self.stabilized_at: Optional[int] = None
         self._class_maps: list[dict[int, int]] = []  # per level: tset -> class idx
         self._counts: list[dict[int, int]] = [dict.fromkeys(self.tsets, 1)]
+        self._separations: dict[tuple[int, int], tuple[int, int, bool]] = {}
         self._append_level([list(self.tsets)])
 
     def past_counts(self, k: int) -> dict[int, int]:
@@ -128,33 +141,39 @@ class Tower:
 
     def _append_level(self, blocks: list[list[int]]) -> None:
         level = len(self.levels)
-        exact = [self.past_counts(k) for k in range(level + 1)]
-        flagged = []
+        n_l = self.past_counts(level)
+        below = self.levels[-1].classes if level > 0 else None
+        placed = []
         for members in blocks:
             members = sorted(members)
-            flags = tuple(n_k[members[0]] > 0 for n_k in exact)
-            # members of one class agree on every flag up to the level
-            for t in members[1:]:
-                if tuple(n_k[t] > 0 for n_k in exact) != flags:
-                    raise IllDefinedTransition(
-                        f"class members disagree on exact-length pasts at level {level}"
-                    )
-            flagged.append((members, flags))
-        flagged.sort(key=cmp_to_key(lambda x, y: self._compare_pasts(x, y, level)))
-        classes = []
-        parent: Optional[list[int]] = [] if level > 0 else None
-        for idx, (members, flags) in enumerate(flagged):
-            classes.append(PastClass(idx, tuple(members), flags))
-            if parent is not None:
-                parents = {self._class_maps[level - 1][t] for t in members}
+            if below is None:
+                up, flags = -1, ()
+            else:
+                parents = {self._class_maps[-1][t] for t in members}
                 if len(parents) != 1:
                     raise IllDefinedTransition(
                         f"class at level {level} straddles parents {parents}"
                     )
-                parent.append(parents.pop())
-        self.levels.append(
-            TowerLevel(level, tuple(classes), tuple(parent) if parent else None)
+                up = parents.pop()
+                flags = below[up].has_exact_past
+            # members agree on the lower flags, as members of one parent
+            # class, so only the level-l flag is new
+            new = n_l[members[0]] > 0
+            if any((n_l[t] > 0) != new for t in members[1:]):
+                raise IllDefinedTransition(
+                    f"class members disagree on exact-length pasts at level {level}"
+                )
+            placed.append((up, members, flags + (new,)))
+        # from the parent order, nearly sorted; the result does not depend
+        # on the start (see the module docstring)
+        placed.sort(key=lambda b: (b[0], b[1][0]))
+        placed.sort(key=cmp_to_key(lambda x, y: self._compare_pasts(x, y, level)))
+        classes = tuple(
+            PastClass(idx, tuple(members), flags)
+            for idx, (_, members, flags) in enumerate(placed)
         )
+        parent = tuple(up for up, _, _ in placed) if level > 0 else None
+        self.levels.append(TowerLevel(level, classes, parent))
         self._class_maps.append(
             {t: c.index for c in classes for t in c.tsets}
         )
@@ -169,20 +188,34 @@ class Tower:
 
     def _compare_pasts(self, x, y, level: int) -> int:
         """-1 when class x's depth-``level`` past list sorts before y's; x
-        and y are (sorted members, exact-length flags)."""
-        (tx, fx), (ty, fy) = x, y
-        found = self.automaton.separating_word(tx[0], ty[0], level)
-        if found is None:
-            raise IllDefinedTransition(
-                f"two classes at level {level} have the same past set"
-            )
-        u, x_holds = found
-        other, other_flags = (ty, fy) if x_holds else (tx, fx)
+        and y are (parent index, sorted members, exact-length flags)."""
+        rx, fx, ry, fy = x[1][0], x[2], y[1][0], y[2]
+        length, holder, later = self._separation(rx, ry, level)
+        x_holds = holder == rx
         # the holder of u sorts first, unless the other list stops before u
-        other_goes_on = self.automaton.has_later_word(other[0], u) or any(
-            other_flags[len(u) + 1:]
-        )
+        other_goes_on = later or any((fy if x_holds else fx)[length + 1:])
         return -1 if x_holds == other_goes_on else 1
+
+    def _separation(self, t1: int, t2: int, level: int) -> tuple[int, int, bool]:
+        """For u, the shortlex-least word of length <= ``level`` in exactly
+        one of the past sets of t1 and t2: |u|, the T-set whose past u is,
+        and whether the other has a later past word of length |u|.  Cached
+        per pair: u stays the least at every deeper level, because shortlex
+        puts shorter words first."""
+        key = (t1, t2) if t1 < t2 else (t2, t1)
+        found = self._separations.get(key)
+        if found is None:
+            sep = self.automaton.separating_word(t1, t2, level)
+            if sep is None:
+                raise IllDefinedTransition(
+                    f"two classes at level {level} have the same past set"
+                )
+            u, t1_holds = sep
+            holder, other = (t1, t2) if t1_holds else (t2, t1)
+            found = self._separations[key] = (
+                len(u), holder, self.automaton.has_later_word(other, u)
+            )
+        return found
 
     def ensure_level(self, level: int) -> None:
         while len(self.levels) <= level:

@@ -120,7 +120,7 @@ def test_condition_I_below_stabilization_is_inconclusive():
     assert (v.status, v.method) == ("inconclusive", {"bounded_search": 1})
     # a one-point class at a coarse level is a one-point stable class
     v = condition_I(build_tower(EVEN, max_level=2))
-    assert (v.status, v.method) == ("fails", {"bounded_search": 2})
+    assert (v.status, v.method) == ("fails", "exact")
     # the even shift plus a fixed point c: c^oo is alone from level 1 on
     tw = build_tower(Presentation.labeled_graph(
         ("0", "1", "c"), 3, [(0, 0, "0"), (0, 1, "1"), (1, 0, "1"), (2, 2, "c")]

@@ -8,9 +8,12 @@ n <= 5, on matrices whose entries are large enough to pass its gate.
 """
 
 import random
+import re
+from enum import IntEnum
 from itertools import combinations
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +100,17 @@ def test_matrix_shape_validation():
         IntMatrix.from_rows([[1, 2], [3]])
     assert IntMatrix.from_rows([]).shape == (0, 0)
     assert IntMatrix.from_rows([], n_cols=3).shape == (0, 3)
+
+
+def test_matrix_entries_are_ints_and_not_bools():
+    class Small(IntEnum):
+        ONE = 1
+
+    assert IntMatrix(((Small.ONE, 2), (3, 4))).rows == ((1, 2), (3, 4))
+    for bad in (True, 1.0, np.int64(1), "1"):
+        message = re.escape(f"non-integer entry {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            IntMatrix(((0, 1), (2, bad)))
 
 
 def test_matrix_arithmetic():

@@ -1,6 +1,7 @@
 """Refinement tower: frozen level data, filtration maps, commuting squares."""
 
 import random
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from shiftca.tower import (
     matrix_B,
     matrix_I,
     projection_delta,
+    refine,
     stable_permutation,
 )
 
@@ -195,8 +197,14 @@ def _order_corpus():
     for k in range(3, 11):
         yield Presentation.forbidden_words(("0", "1"), [("0",) * k])
     for k in (16, 20, 24):
-        gap = [(0, 0, "0")] + [(i, (i + 1) % k, "1") for i in range(k)]
-        yield Presentation.labeled_graph(("0", "1"), k, gap)
+        yield _gap(k)
+
+
+def _gap(k):
+    """The mod-k gap shift: runs of 1s between 0s have lengths divisible by
+    k.  Its tower stabilizes at level k - 1."""
+    edges = [(0, 0, "0")] + [(i, (i + 1) % k, "1") for i in range(k)]
+    return Presentation.labeled_graph(("0", "1"), k, edges)
 
 
 def test_classes_sorted_by_past_encoding():
@@ -218,6 +226,67 @@ def test_classes_sorted_by_past_encoding():
             prev = ref
             levels += 1
     assert levels > 1400
+
+
+def _uncached_order(tw, l):
+    """Level l's blocks (sorted members) from refine, in refine's order,
+    sorted by the comparator that caches nothing: one separating_word and
+    one has_later_word call per comparison, flags from the past counts."""
+    if l == 0:
+        blocks = [list(tw.tsets)]
+    else:
+        below = {t: c.index for c in tw.level(l - 1).classes for t in c.tsets}
+        blocks = refine(tw.tsets, below, tw.pre)
+    auto = tw.automaton
+
+    def flags(t):
+        return [tw.past_counts(k)[t] > 0 for k in range(l + 1)]
+
+    def compare(x, y):
+        u, x_holds = auto.separating_word(x[0], y[0], l)
+        other = y[0] if x_holds else x[0]
+        goes_on = auto.has_later_word(other, u) or any(flags(other)[len(u) + 1:])
+        return -1 if x_holds == goes_on else 1
+
+    return sorted((sorted(b) for b in blocks), key=cmp_to_key(compare))
+
+
+def test_cached_order_matches_uncached_comparator():
+    tops, levels = [], 0
+    deep = [_gap(32), _gap(48), Presentation.forbidden_words(("0", "1"), [("0",) * 16])]
+    for pres in [*_order_corpus(), *deep]:
+        try:
+            tw = build_tower(pres)
+        except EmptyShift:
+            continue
+        assert tw.stabilized_at is not None and tw.top_level == tw.stabilized_at + 1
+        for l in range(tw.top_level + 1):
+            classes = tw.level(l).classes
+            assert [list(c.tsets) for c in classes] == _uncached_order(tw, l), (pres, l)
+            for c in classes:
+                want = tuple(tw.past_counts(k)[c.tsets[0]] > 0 for k in range(l + 1))
+                assert c.has_exact_past == want
+            if l > 0:
+                up = tuple(tw.class_of(l - 1, c.tsets[0]) for c in classes)
+                assert tw.level(l).parent == up
+            levels += 1
+        tops.append(tw.top_level)
+    assert len(tops) > 250 and levels > 1400
+    assert tops[-3:] == [32, 48, 16]
+
+
+def test_separating_word_found_once_per_pair(monkeypatch):
+    asked = []
+    separating_word = SubsetAutomaton.separating_word
+
+    def counted(self, t1, t2, level):
+        asked.append(frozenset((t1, t2)))
+        return separating_word(self, t1, t2, level)
+
+    monkeypatch.setattr(SubsetAutomaton, "separating_word", counted)
+    tw = build_tower(_gap(24))
+    assert (len(tw.tsets), tw.stabilized_at) == (25, 23)
+    assert asked and len(asked) == len(set(asked))
 
 
 def test_order_has_no_word_lists(monkeypatch):
