@@ -43,7 +43,7 @@ from .invariants import (
     k_groups,
 )
 from .pastsets import DEFAULT_MONOID_CAP
-from .presentations import Presentation
+from .presentations import Presentation, past_words
 from .repcheck import (
     DEFAULT_WORD_BUDGET,
     RelationReport,
@@ -196,7 +196,7 @@ def tower_dump(tw: Tower) -> dict:
                 "level": l,
                 "m": lv.m,
                 "classes": [
-                    [alpha.format_word(w) for w in tw.automaton.words(c.tsets[0], l)]
+                    [alpha.format_word(w) for w in past_words(tw.graph, c.tsets[0], l)]
                     for c in lv.classes
                 ],
                 "M": [list(filtration_M(tw, l, k)) for k in range(1, l + 1)],
@@ -238,7 +238,7 @@ def cmd_classes(args) -> int:
         final = l0 if l0 is not None else tw.top_level
         alpha = tw.graph.alphabet
         for i, c in enumerate(tw.levels[final].classes):
-            first = islice(tw.automaton.words(c.tsets[0], final), 8)
+            first = islice(past_words(tw.graph, c.tsets[0], final), 8)
             shown = ", ".join(repr(alpha.format_word(w)) for w in first)
             count = tw.count_words(c.tsets[0], final)
             if count > 8:

@@ -19,12 +19,12 @@ is stored as one int, column by column, and a Cayley edge costs the
 nonzero columns it reads, not the vertex count (see :class:`MonoidGraph`).
 
 Whether and how often a T-set has a past word of a given length is read
-off the predecessor table (``Tower.past_counts``).  Which words they are —
-the admissible words of the relation checks, and the past words of the
-tower (which of two T-sets owns the shortlex-least word the other lacks,
-whether a later word follows it, the words in shortlex order) — is
-answered on one object, :class:`SubsetAutomaton`, the forward subset
-automaton from the full vertex set; no other code lists them.
+off the predecessor table (``Tower.past_counts``), and the words are
+listed on its rows, each from its suffix, by
+:func:`~shiftca.presentations.past_layers`.  Which of two T-sets owns the
+shortlex-least word the other lacks, and whether a later word follows it,
+is answered for the tower's order on :class:`SubsetAutomaton`, the forward
+subset automaton from the full vertex set, which the relation checks walk.
 
 Vertex sets and relation rows or columns are Python int bitmasks (bit v =
 vertex v).
@@ -33,12 +33,12 @@ vertex v).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import MonoidBudgetExceeded, WordNotInLanguage
-from .presentations import EPSILON, Graph, Word
+from .presentations import Graph, Word, _union, past_words
 
 DEFAULT_MONOID_CAP = 1_000_000
 
@@ -172,15 +172,15 @@ def predecessor_table(g: Graph) -> dict[int, tuple[int, ...]]:
 
     The states are the domains of the word relations R_w, so B has no more
     states than the relation monoid has nodes, and it is closed under
-    nonzero Pre_a; every realized T-set is a state.
+    nonzero Pre_a; every realized T-set is a state.  Rows are shared with
+    the graph (:meth:`Graph.pre_row`).
     """
-    n_sym = len(g.alphabet)
     table: dict[int, tuple[int, ...]] = {}
     work = [g.full_mask]
     while work:
         s = work.pop()
         if s not in table:
-            row = table[s] = tuple(g.pre(s, a) for a in range(n_sym))
+            row = table[s] = g.pre_row(s)
             work.extend(p for p in row if p and p not in table)
     return table
 
@@ -204,9 +204,9 @@ class SubsetAutomaton:
     computed the first time a state is read (:meth:`rows`, :meth:`step`,
     :meth:`state_of`), so a truncation pays only for the states its words
     reach.  The past-word questions (:meth:`separating_word`,
-    :meth:`has_later_word`, :meth:`words`) are path questions from
-    :data:`START`, answered by one bitmask over states per word length
-    (bit s = state s) on the full expansion.  post*(V, u) is the range of
+    :meth:`has_later_word`) are path questions from :data:`START`,
+    answered by one bitmask over states per word length (bit s = state s)
+    on the full expansion.  post*(V, u) is the range of
     R_u, so it has at most as many live states as the relation monoid has
     nodes.
     """
@@ -270,13 +270,7 @@ class SubsetAutomaton:
 
     def pre(self, states: int) -> int:
         """States with an edge into ``states``."""
-        into = self._full[1]
-        acc = 0
-        while states:
-            low = states & -states
-            acc |= into[low.bit_length() - 1]
-            states ^= low
-        return acc
+        return _union(self._full[1], states)
 
     def live(self, tset: int, k: int) -> int:
         """States from which some word of length k ends in a state meeting
@@ -326,32 +320,11 @@ class SubsetAutomaton:
             s = row[a]
         return False
 
-    def words(self, tset: int, level: int) -> Iterator[Word]:
-        """The past words of ``tset`` up to ``level`` in shortlex order,
-        lazily: a depth-first walk per length, pruned by :meth:`live`."""
-        syms = self.graph.alphabet.symbols
-        step = self._full[0]
-        for k in range(level + 1):
-            if not self.live(tset, k) >> START & 1:
-                continue
-            stack: list[tuple[int, Word]] = [(START, EPSILON)]
-            while stack:
-                s, w = stack.pop()
-                r = k - len(w)
-                if r == 0:
-                    yield w
-                    continue
-                want = self.live(tset, r - 1)
-                row = step[s]
-                for a in range(len(row) - 1, -1, -1):
-                    if want >> row[a] & 1:
-                        stack.append((row[a], w + (syms[a],)))
-
 
 def point_past_set(g: Graph, tset: int, level: int) -> tuple[Word, ...]:
     """Past set of any point x with T(x) = ``tset``: the words u with
     |u| <= ``level`` and u·x a point, in shortlex order."""
-    return tuple(SubsetAutomaton(g).words(tset, level))
+    return tuple(past_words(g, tset, level))
 
 
 def word_past_set(g: Graph, word: Word, level: int) -> tuple[Word, ...]:
@@ -359,8 +332,8 @@ def word_past_set(g: Graph, word: Word, level: int) -> tuple[Word, ...]:
     admissible, in shortlex order.  Raises WordNotInLanguage when the word
     itself is not.
 
-    v·word is admissible iff post*(V, v) meets Pre_word(V), the domain of
-    R_word — the same computation as for points, applied to that set.
+    v·word is admissible iff Pre_v of Pre_word(V), the domain of R_word,
+    is nonempty — the same computation as for points, applied to that set.
     """
     tset = g.full_mask
     for sym in reversed(word):
@@ -369,4 +342,4 @@ def word_past_set(g: Graph, word: Word, level: int) -> tuple[Word, ...]:
         raise WordNotInLanguage(
             f"word {g.alphabet.format_word(word)!r} not admissible"
         )
-    return tuple(SubsetAutomaton(g).words(tset, level))
+    return tuple(past_words(g, tset, level))

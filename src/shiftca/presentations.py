@@ -14,7 +14,8 @@ A one-sided shift space can be handed to this package in three ways:
 
 Everything downstream works on the labeled-graph form, produced by
 :func:`to_labeled_graph`.  Vertex sets are represented as Python int bitmasks
-throughout the package.
+throughout the package.  :func:`past_layers` lists words, the language
+included: it is the past-word set of all vertices.
 
 >>> p = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
 >>> g = to_labeled_graph(p)
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -314,6 +315,8 @@ class Graph:
     n_vertices: int
     edges: tuple[tuple[int, int, int], ...]  # (src, dst, symbol index)
     vertex_names: tuple[str, ...]
+    # vertex set -> its row of Pre_a, filled by pre_row
+    _pre_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def full_mask(self) -> int:
@@ -327,25 +330,34 @@ class Graph:
             table[a][src] |= 1 << dst
         return tuple(tuple(row) for row in table)
 
+    @cached_property
+    def _in_masks(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """per symbol a: the vertices with an incoming a-labeled edge, and
+        per vertex v the bitmask of the sources of a-labeled edges into v."""
+        table = [[0] * self.n_vertices for _ in self.alphabet]
+        for src, dst, a in self.edges:
+            table[a][dst] |= 1 << src
+        return tuple(
+            (sum(1 << v for v, m in enumerate(row) if m), tuple(row))
+            for row in table
+        )
+
     def pre(self, tset: int, symbol_index: int) -> int:
         """Vertices with an edge labeled ``symbol_index`` into ``tset``."""
-        out = self._out_masks[symbol_index]
-        mask = 0
-        for v in range(self.n_vertices):
-            if out[v] & tset:
-                mask |= 1 << v
-        return mask
+        return self.pre_row(tset)[symbol_index]
 
     def post(self, vset: int, symbol_index: int) -> int:
         """Targets of edges labeled ``symbol_index`` leaving ``vset``."""
-        out = self._out_masks[symbol_index]
-        mask = 0
-        rest = vset
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            mask |= out[v]
-            rest &= rest - 1
-        return mask
+        return _union(self._out_masks[symbol_index], vset)
+
+    def pre_row(self, tset: int) -> tuple[int, ...]:
+        """Pre_a(tset) per symbol a, remembered per set for every reader."""
+        row = self._pre_rows.get(tset)
+        if row is None:
+            row = self._pre_rows[tset] = tuple(
+                _union(into, tset & targets) for targets, into in self._in_masks
+            )
+        return row
 
     def symbol_relation_rows(self, symbol_index: int) -> tuple[int, ...]:
         """Rows of the edge relation for one symbol (bitmask per vertex)."""
@@ -359,6 +371,16 @@ class Graph:
             out.append(v)
             rest &= rest - 1
         return out
+
+
+def _union(masks: Sequence[int], vset: int) -> int:
+    """OR of ``masks[v]`` over the vertices v in ``vset``."""
+    acc = 0
+    while vset:
+        low = vset & -vset
+        acc |= masks[low.bit_length() - 1]
+        vset ^= low
+    return acc
 
 
 def _essentialize(
@@ -473,20 +495,29 @@ def is_in_language(p: Presentation | Graph, word: Word) -> bool:
     return _end_set(g, word) != 0
 
 
-def word_layers(g: Graph) -> Iterator[list[Word]]:
-    """Admissible words layer by layer: layer k holds the words of length
-    exactly k, in shortlex order.  Lazy, so a caller that stops after layer
-    k never builds layer k + 1."""
-    layer: list[tuple[Word, int]] = [(EPSILON, g.full_mask)]
+def past_layers(g: Graph, tset: int) -> Iterator[list[Word]]:
+    """Layer k: the words u of length k with Pre_u(``tset``) nonempty, in
+    lexicographic order; for ``tset`` = V, the admissible words.  Since
+    Pre_{a·u} = Pre_a ∘ Pre_u, it is every a·u with u in layer k - 1 and
+    Pre_a(Pre_u(tset)) nonempty, the first symbol the outer loop, read off
+    :meth:`Graph.pre_row`.  Lazy: layer k + 1 waits for the next request."""
+    layer: list[tuple[Word, int]] = [(EPSILON, tset)] if tset else []
     symbols = tuple(enumerate(g.alphabet.symbols))
     while True:
         yield [w for w, _ in layer]
+        rows = [(w, g.pre_row(s)) for w, s in layer]
         layer = [
-            (w + (sym,), s2)
-            for w, s in layer
-            for i, sym in symbols
-            if (s2 := g.post(s, i))
+            ((sym,) + w, p)
+            for a, sym in symbols
+            for w, row in rows
+            if (p := row[a])
         ]
+
+
+def past_words(g: Graph, tset: int, level: int) -> Iterator[Word]:
+    """The past words of ``tset`` of length <= ``level``, in shortlex
+    order, lazily (see :func:`past_layers`)."""
+    return chain.from_iterable(islice(past_layers(g, tset), max(level + 1, 0)))
 
 
 def language(p: Presentation | Graph, k: int) -> list[Word]:
@@ -499,13 +530,13 @@ def language(p: Presentation | Graph, k: int) -> list[Word]:
     if k < 0:
         raise InputFormatError("word length must be nonnegative")
     g = p if isinstance(p, Graph) else to_labeled_graph(p)
-    return next(islice(word_layers(g), k, None))
+    return next(islice(past_layers(g, g.full_mask), k, None))
 
 
 def language_upto(p: Presentation | Graph, k: int) -> list[Word]:
     """All admissible words of length at most ``k``, in shortlex order."""
     g = p if isinstance(p, Graph) else to_labeled_graph(p)
-    return [w for layer in islice(word_layers(g), max(k + 1, 0)) for w in layer]
+    return list(past_words(g, g.full_mask, k))
 
 
 def require_word_in_language(g: Graph, word: Word) -> None:

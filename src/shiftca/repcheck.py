@@ -33,8 +33,8 @@ check.  Skipped symbols are reported, never silently passed.
 No word is walked symbol by symbol.  Admissibility is read off the
 forward subset automaton from all vertices
 (:class:`~shiftca.pastsets.SubsetAutomaton`, the one automaton that also
-orders and lists the tower's past words), expanded only as far as the
-basis words reach: the state of ``u`` is post*(V, u), and it fixes the
+orders the tower's past words), expanded only as far as the basis words
+reach: the state of ``u`` is post*(V, u), and it fixes the
 follower set of ``u`` (Lind-Marcus 1995, section 3.2).  The basis is a
 trie stored as ``parent``/``last``-symbol arrays and a ``child`` table,
 one layer per length, so every quantity that depends on a word extends

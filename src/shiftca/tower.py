@@ -27,7 +27,7 @@ that also enumerates the relation checks' words: a table per length r of
 the states from which some length-r word separates the two T-sets, the
 least r whose table holds the start state, then a greedy descent to the
 lexicographically least such word, whose end state says which side holds
-it.  The same automaton lists past words for the ``classes`` report.
+it.  ``classes`` lists words by :func:`~shiftca.presentations.past_layers`.
 
 The order work is shared across levels.  Per pair of representative
 T-sets, |u|, the side holding u and whether the other side has a later

@@ -25,7 +25,7 @@ from shiftca.conditions import (
 from shiftca.errors import EmptyShift
 from shiftca.intlinalg import AbelianGroup, IntMatrix, SmithForm, kernel, smith_form
 from shiftca.invariants import bowen_franks, ck_oracle, k_groups
-from shiftca.pastsets import SubsetAutomaton
+from shiftca.pastsets import point_past_set
 from shiftca.presentations import Presentation, to_labeled_graph
 from shiftca.repcheck import (
     build_truncation,
@@ -253,10 +253,9 @@ def _brute_past_words(g, tset, level):
 
 
 def _check_past_sets(g):
-    auto = SubsetAutomaton(g)
     for tset in range(1, 1 << g.n_vertices):
         for level in range(4):
-            got = list(auto.words(tset, level))
+            got = list(point_past_set(g, tset, level))
             assert got == _brute_past_words(g, tset, level)
 
 

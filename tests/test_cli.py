@@ -8,6 +8,7 @@ import pytest
 
 import shiftca.cli
 import shiftca.conditions
+import shiftca.presentations
 import shiftca.repcheck
 from shiftca.cli import DEFAULT_REPCHECK_DEPTH, main, tower_dump
 from shiftca.conditions import (
@@ -18,7 +19,6 @@ from shiftca.conditions import (
     irreducible_past,
 )
 from shiftca.invariants import bowen_franks, ck_oracle, dimension_group, k_groups
-from shiftca.pastsets import SubsetAutomaton
 from shiftca.presentations import Presentation
 from shiftca.repcheck import (
     RelationReport,
@@ -75,17 +75,25 @@ def test_classes_table(inputs, capsys):
 
 
 def test_classes_table_builds_no_word_list(inputs, capsys, monkeypatch, tmp_path):
-    # the table draws at most eight words of each class's lazy walk
-    drawn = []
-    words = SubsetAutomaton.words
+    # the table draws at most eight words of each class's lazy layers, and
+    # builds no layer it does not read from
+    drawn, built = [], []
+    past_layers = shiftca.presentations.past_layers
 
-    def counted(self, tset, level):
+    def counted(g, tset):
         drawn.append(0)
-        for w in words(self, tset, level):
-            drawn[-1] += 1
-            yield w
+        built.append(0)
 
-    monkeypatch.setattr(SubsetAutomaton, "words", counted)
+        def count(layer):
+            for w in layer:
+                drawn[-1] += 1
+                yield w
+
+        for layer in past_layers(g, tset):
+            built[-1] += 1
+            yield count(layer)
+
+    monkeypatch.setattr(shiftca.presentations, "past_layers", counted)
     code, out, _ = run(capsys, ["classes", "-i", inputs["gm"]])
     assert code == 0
     assert out.splitlines()[-2:] == [
@@ -109,6 +117,8 @@ def test_classes_table_builds_no_word_list(inputs, capsys, monkeypatch, tmp_path
         "... (8388608 words)}"
     )
     assert len(drawn) == 2 + 24 and max(drawn) == 8
+    # lengths 0..3 hold the eight words of every class of 0^24
+    assert max(built[2:]) == 4
 
 
 def test_classes_json_over_word_budget_exit_two(inputs, capsys, monkeypatch):

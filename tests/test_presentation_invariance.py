@@ -4,7 +4,10 @@ must agree.
 The forbidden-word route builds the prefix automaton of F.  The higher-block
 recoding it replaced is kept below, verbatim, as the reference it is checked
 against.  SFTs are also built as a matrix, as forbidden 2-blocks and as a
-labeled graph, and their 2- and 3-block conjugates must keep K0/K1.
+labeled graph, and their 2- and 3-block conjugates must keep K0/K1.  Random
+labeled graphs, their 2- and 3-block presentations and their symbol
+renamings must keep K0/K1 and the four condition statuses, and condition I
+on an SFT must be condition (L) of its graph.
 """
 
 import random
@@ -269,3 +272,135 @@ def test_higher_block_conjugates_keep_k_groups():
             assert (got["k0"], got["k1"]) == (want["k0"], want["k1"]), (matrix, n)
         checked += 1
     assert checked >= 20
+
+
+# -- labeled graphs: k-block presentations and symbol permutations ----------------
+
+
+def _random_graphs(rng, count):
+    """Seeded labeled graphs with 2-5 vertices over two symbols whose
+    essential part keeps at least two vertices."""
+    while count:
+        nv = rng.randint(2, 5)
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice("ab"))
+            for _ in range(rng.randint(2, 3 * nv))
+        }
+        p = Presentation.labeled_graph("ab", nv, sorted(edges))
+        try:
+            if to_labeled_graph(p).n_vertices < 2:
+                continue
+        except EmptyShift:
+            continue
+        count -= 1
+        yield p
+
+
+def _graph_k_block(p: Presentation, k: int) -> Presentation:
+    """The k-block presentation: a vertex per path e_1..e_{k-1}, and an
+    edge from it to e_2..e_k labeled with the k-block that e_1..e_k reads.
+    Its paths read the k-block recodings of the points, a one-sided
+    conjugacy (Lind-Marcus 1.4)."""
+    out: dict[int, list] = {}
+    for e in p.edges:
+        out.setdefault(e[0], []).append(e)
+    paths = [(e,) for e in p.edges]
+    for _ in range(k - 2):
+        paths = [q + (e,) for q in paths for e in out.get(q[-1][1], ())]
+    index = {q: i for i, q in enumerate(paths)}
+    edges = [
+        (index[q], index[q[1:] + (e,)], "".join(f[2] for f in q + (e,)))
+        for q in paths
+        for e in out.get(q[-1][1], ())
+    ]
+    return Presentation.labeled_graph(
+        sorted({label for _, _, label in edges}), len(paths), edges
+    )
+
+
+def _rotated_symbols(p: Presentation) -> Presentation:
+    """The same graph with every label renamed to the next symbol of the
+    alphabet, the last to the first."""
+    syms = p.alphabet.symbols
+    image = dict(zip(syms, syms[1:] + syms[:1]))
+    return Presentation.labeled_graph(
+        syms, p.n_vertices, [(s, t, image[a]) for s, t, a in p.edges]
+    )
+
+
+def _conjugacy_answers(p: Presentation):
+    """K0, K1, exactness and the four condition statuses.  The ideal count
+    is left out: it depends on the presentation today."""
+    tw = build_tower(p)
+    rep = k_groups(tw, allow_partial=True)
+    return (
+        rep.k0,
+        rep.k1,
+        rep.exact,
+        [check(tw).status
+         for check in (condition_I, condition_star, aperiodic_past, irreducible_past)],
+    )
+
+
+def test_conjugate_presentations_agree():
+    """2- and 3-block presentations and symbol renamings of seeded random
+    labeled graphs keep every conjugacy invariant the tower computes."""
+    recodings = 0
+    for p in _random_graphs(random.Random(60603), 146):
+        want = _conjugacy_answers(p)
+        two_block = _graph_k_block(p, 2)
+        for q in (two_block, _graph_k_block(p, 3), _rotated_symbols(p),
+                  _rotated_symbols(two_block)):
+            assert _conjugacy_answers(q) == want, (p, q)
+            recodings += 1
+    assert recodings == 4 * 146
+
+
+# -- condition I against condition (L) on SFTs --------------------------------------
+
+
+def _every_cycle_has_an_exit(matrix) -> bool:
+    """Condition (L) on the graph with an edge i -> j when A[i][j] = 1.  A
+    cycle has no exit iff each of its vertices has exactly one out-edge, so
+    it is found by following single out-edges back to the start."""
+    n = len(matrix)
+    succ = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
+    for v in range(n):
+        w = v
+        for _ in range(n):
+            if len(succ[w]) != 1:
+                break
+            w = succ[w][0]
+            if w == v:
+                return False
+    return True
+
+
+def _all_matrices(n):
+    rows = [r for r in product((0, 1), repeat=n) if any(r)]
+    return product(rows, repeat=n)
+
+
+def _random_larger_matrices(rng, count):
+    while count:
+        n = rng.randint(4, 6)
+        rows = tuple(tuple(int(rng.random() < 0.4) for _ in range(n)) for _ in range(n))
+        if all(any(r) for r in rows):
+            count -= 1
+            yield rows
+
+
+def test_condition_I_is_condition_L_on_sfts():
+    """Cuntz-Krieger condition (I) for O_A is condition (L) on A's graph: the
+    tower's verdict must match it, exactly, on every SFT with n <= 3 and on
+    seeded random ones with n = 4-6."""
+    matrices = [m for n in (1, 2, 3) for m in _all_matrices(n)]
+    assert len(matrices) == 1 + 9 + 343
+    matrices += _random_larger_matrices(random.Random(60604), 159)
+    holds = 0
+    for matrix in matrices:
+        verdict = condition_I(build_tower(Presentation.sft("abcdef"[: len(matrix)], matrix)))
+        assert verdict.method == "exact", matrix
+        assert (verdict.status == "holds") == _every_cycle_has_an_exit(matrix), matrix
+        holds += verdict.status == "holds"
+    assert 0 < holds < len(matrices)

@@ -14,10 +14,12 @@ from shiftca.errors import (
     ZeroRow,
 )
 from shiftca.presentations import (
+    Graph,
     Presentation,
     is_in_language,
     language,
     language_upto,
+    past_layers,
     require_word_in_language,
     to_labeled_graph,
 )
@@ -97,6 +99,18 @@ def test_language_is_shortlex_and_factor_closed():
         for i in range(len(w)):
             for j in range(i, len(w) + 1):
                 assert w[i:j] in wordset
+
+
+def test_past_layers_build_no_layer_early(monkeypatch):
+    read = []
+    pre_row = Graph.pre_row
+    monkeypatch.setattr(Graph, "pre_row", lambda g, s: read.append(s) or pre_row(g, s))
+    g = to_labeled_graph(Presentation.forbidden_words("01", [("0",) * 24]))
+    layers = past_layers(g, g.full_mask)
+    assert [len(next(layers)) for _ in range(4)] == [1, 2, 4, 8]
+    # layer 3 reads the rows of layer 2's sets; layer 4 waits for a request
+    assert len(read) == 1 + 2 + 4
+    assert next(past_layers(g, 0)) == []
 
 
 def test_require_word_in_language():

@@ -1,16 +1,19 @@
 """Refinement tower: frozen level data, filtration maps, commuting squares."""
 
+import importlib
+import pkgutil
 import random
 from functools import cmp_to_key
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
+import shiftca
 from shiftca.errors import EmptyShift, IllDefinedTransition, InputFormatError
 from shiftca.intlinalg import AbelianGroup
 from shiftca.invariants import k_groups
-from shiftca.pastsets import SubsetAutomaton
-from shiftca.presentations import Presentation
+from shiftca.pastsets import SubsetAutomaton, point_past_set
+from shiftca.presentations import Presentation, past_layers
 from shiftca.tower import (
     build_tower,
     filtration_M,
@@ -293,8 +296,13 @@ def test_order_has_no_word_lists(monkeypatch):
     def refuse(*args):
         raise AssertionError("word list built")
 
-    # the automaton's walk is the only past-word lister left
-    monkeypatch.setattr(SubsetAutomaton, "words", refuse)
+    # past_layers is the only past-word lister left
+    modules = [importlib.import_module(f"shiftca.{m.name}")
+               for m in pkgutil.iter_modules(shiftca.__path__)]
+    patched = [m for m in modules if hasattr(m, "past_layers")]
+    assert shiftca.presentations in patched
+    for module in patched:
+        monkeypatch.setattr(module, "past_layers", refuse)
     tw = build_tower(Presentation.forbidden_words(("0", "1"), [("0",) * 24]))
     assert [lvl.m for lvl in tw.levels] == list(range(1, 25)) + [24]
     assert tw.stabilized_at == 23
@@ -312,7 +320,22 @@ def test_automaton_counts_and_walks_match_word_lists():
             for l in range(4):
                 words = lister.words_of_set(t, l)
                 assert tw.count_words(t, l) == len(words)
-                assert tuple(tw.automaton.words(t, l)) == words
+                assert point_past_set(tw.graph, t, l) == words
+
+
+def test_past_layers_have_the_past_counts():
+    # the lister's layer k has N_k(t) words, counted on the predecessor table
+    checked = 0
+    for pres in [*_small_graphs(), _gap(7), _gap(12)]:
+        try:
+            tw = build_tower(pres)
+        except EmptyShift:
+            continue
+        for t in tw.tsets:
+            lengths = [len(layer) for layer in islice(past_layers(tw.graph, t), 9)]
+            assert lengths == [tw.past_counts(k)[t] for k in range(9)], (pres, t)
+            checked += 1
+    assert checked > 400
 
 
 def test_filtration_bounds_checked():
@@ -339,10 +362,10 @@ def test_length_filtration_can_exclude_classes():
     assert filtration_M(tw, 1, 0) == (0, 1)
     assert filtration_M(tw, 1, 1) == (1,)
     excluded = tw.level(1).classes[0]
-    assert list(tw.automaton.words(excluded.tsets[0], 1)) == [()]
+    assert point_past_set(tw.graph, excluded.tsets[0], 1) == ((),)
     assert excluded.has_exact_past == (True, False)
     kept = tw.level(1).classes[1]
-    assert list(tw.automaton.words(kept.tsets[0], 1)) == [(), ("a",), ("b",)]
+    assert point_past_set(tw.graph, kept.tsets[0], 1) == ((), ("a",), ("b",))
 
 
 def test_stable_permutation_rejects_unstabilized_level():
