@@ -25,7 +25,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .conditions import (
     Verdict,
@@ -43,7 +43,7 @@ from .invariants import (
     k_groups,
 )
 from .pastsets import DEFAULT_MONOID_CAP
-from .presentations import Presentation, past_words
+from .presentations import Presentation, past_layers, past_words
 from .repcheck import (
     DEFAULT_WORD_BUDGET,
     RelationReport,
@@ -188,6 +188,16 @@ def tower_dump(tw: Tower) -> dict:
             f"the tower dump would list {words} past words, "
             f"more than {DUMP_WORD_CAP}"
         )
+    # a class's least member is the least member of one of its subclasses,
+    # so every level's representatives are top-level ones: each has its
+    # layers rendered once, and level l chains the first l + 1 of them
+    layers = {
+        c.tsets[0]: [
+            [alpha.format_word(w) for w in layer]
+            for layer in islice(past_layers(tw.graph, c.tsets[0]), top + 1)
+        ]
+        for c in tw.levels[top].classes
+    }
     levels = []
     for l in range(top + 1):
         lv = tw.levels[l]
@@ -196,7 +206,7 @@ def tower_dump(tw: Tower) -> dict:
                 "level": l,
                 "m": lv.m,
                 "classes": [
-                    [alpha.format_word(w) for w in past_words(tw.graph, c.tsets[0], l)]
+                    list(chain.from_iterable(layers[c.tsets[0]][: l + 1]))
                     for c in lv.classes
                 ],
                 "M": [list(filtration_M(tw, l, k)) for k in range(1, l + 1)],

@@ -14,12 +14,15 @@ certificates, plus one lattice enumeration:
   with some class of points?  Decided by a joint partition refinement over
   all states of the backward subset automaton, run to its own fixpoint.
 * :func:`aperiodic_past` — can every class be reached from every realized
-  T-set by prepending a single bounded-length word?  Saturation over
-  predecessor sets; Holds carries the uniform bound.
+  T-set by prepending a single bounded-length word?  A breadth-first search
+  per class on the class graph, one node per stabilized class and an edge
+  per symbol to the class of the predecessor set; Holds carries the uniform
+  bound.
 * :func:`irreducible_past` — reachability alone, as a *sufficient* check for
   irreducibility; a missing pair yields Inconclusive, never Fails.
 * :func:`ideal_lattice` — all shift-invariant unions of stabilized classes,
-  with their inclusion order.
+  with their inclusion order, closed along the same class graph.  These
+  three read no level below stabilization.
 
 Every verdict is deterministic: same tower, same answer, same certificate.
 """
@@ -419,67 +422,76 @@ def condition_star(tw: Tower) -> Verdict:
 
 
 def _resolve_level(tw: Tower, level: Optional[int]) -> int:
-    if level is not None:
-        return level
+    """``level``, by default the stabilized level; the class-level verdicts
+    read no level below it, where Pre_a need not act on classes."""
     if tw.stabilized_at is None:
         raise NotStabilized(
-            f"tower not stabilized within {tw.top_level} levels; "
-            "raise max_level or pass an explicit level"
+            f"tower not stabilized within {tw.top_level} levels; raise max_level"
         )
-    return tw.stabilized_at
+    if level is None:
+        return tw.stabilized_at
+    if level < tw.stabilized_at:
+        raise NotStabilized(
+            f"level {level} is below stabilization at level {tw.stabilized_at}"
+        )
+    return level
 
 
-def _class_reachability(tw: Tower, lvl: int):
-    """Per realized T-set t: minimal |u| with class(pre_u(t)) = c, per class.
+def _class_distances(tw: Tower, lvl: int) -> list[dict[int, int]]:
+    """Per class c at the stabilized level ``lvl``: the least |u| with
+    class(Pre_u(t)) = d for a member t of c, for every class d so reached.
 
-    Prepending a word u to a point with T-set t yields a point with T-set
-    pre_u(t) whenever that set is nonempty, so saturation over predecessor
-    sets enumerates exactly the reachable classes; the empty word counts.
+    Prepending u to a point with T-set t gives a point with T-set Pre_u(t)
+    whenever that set is nonempty.  At a stabilized level the class of
+    Pre_a(t), and whether it is empty, depend only on the class of t, so
+    the search runs on the class graph, with an edge c -> class(Pre_a(t))
+    per symbol a; the empty word counts.  Raises IllDefinedTransition when
+    a predecessor is not realized or class members disagree on a row.
     """
-    out = {}
-    diameter = 0
+    cls = {t: c.index for c in tw.level(lvl).classes for t in c.tsets}
+    rows: dict[int, tuple[int, ...]] = {}
     for t in tw.tsets:
-        dist = {t: 0}
-        frontier = [t]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for s in frontier:
-                for p in tw.pre[s]:
-                    if p and p not in dist:
-                        dist[p] = d
-                        nxt.append(p)
-            frontier = nxt
-        best: dict[int, int] = {}
-        for s, ds in dist.items():
-            try:
-                c = tw.class_of(lvl, s)
-            except KeyError:
-                raise IllDefinedTransition(
-                    "predecessor of a realized T-set is not realized"
-                ) from None
-            if c not in best or ds < best[c]:
-                best[c] = ds
-        out[t] = best
-        diameter = max(diameter, max(dist.values(), default=0))
-    return out, diameter
+        try:
+            row = tuple(cls[p] if p else -1 for p in tw.pre[t])
+        except KeyError:
+            raise IllDefinedTransition(
+                "predecessor of a realized T-set is not realized"
+            ) from None
+        if rows.setdefault(cls[t], row) != row:
+            raise IllDefinedTransition(
+                f"members of class {cls[t]} at level {lvl} disagree on "
+                "their predecessor classes"
+            )
+    succ = [set(rows[c]) - {-1} for c in range(len(rows))]
+    dists = []
+    for c in range(len(succ)):
+        dist = {c: 0}
+        queue = [c]
+        for s in queue:
+            for p in succ[s]:
+                if p not in dist:
+                    dist[p] = dist[s] + 1
+                    queue.append(p)
+        dists.append(dist)
+    return dists
 
 
 def _first_uncovered(
-    reach: dict[int, dict[int, int]], m: int
-) -> tuple[Optional[tuple[int, int]], int]:
+    tw: Tower, lvl: int, dists: list[dict[int, int]]
+) -> Optional[tuple[int, int]]:
     """The first (T-set, class) pair in sorted order whose class no word
-    reaches from the T-set, or None when every pair is covered, and the
-    largest minimal word length over the pairs before it."""
-    worst = 0
-    for t in sorted(reach):
-        best = reach[t]
-        for c in range(m):
-            if c not in best:
-                return (t, c), worst
-            worst = max(worst, best[c])
-    return None, worst
+    reaches from the T-set, or None when every pair is covered."""
+    for t in sorted(tw.tsets):
+        row = dists[tw.class_of(lvl, t)]
+        for c in range(len(dists)):
+            if c not in row:
+                return t, c
+    return None
+
+
+def _radius(dists: list[dict[int, int]]) -> int:
+    """The class graph's largest finite distance."""
+    return max(d for row in dists for d in row.values())
 
 
 def _recheck_unreachable(tw: Tower, source: int, target_class: int, lvl: int) -> None:
@@ -512,16 +524,16 @@ def aperiodic_past(tw: Tower, level: Optional[int] = None) -> Verdict:
     """Holds iff every class is reachable from every realized T-set by
     prepending some word, with a single uniform length bound.
 
-    The saturation is exact reachability, so an uncovered pair is a
-    definitive failure (re-checked by an independently written saturation);
-    a full cover yields Holds with the maximum of the per-pair minimal word
-    lengths as the recorded bound.  The empty word is allowed, which is what
-    makes one-class shifts hold vacuously.
+    The search on the class graph is exact reachability, so an uncovered
+    pair is a definitive failure (re-checked by an independently written
+    saturation over vertex sets); a full cover yields Holds with the
+    maximum of the per-pair minimal word lengths as the recorded bound.
+    The empty word is allowed, which is what makes one-class shifts hold
+    vacuously.
     """
     lvl = _resolve_level(tw, level)
-    reach, _ = _class_reachability(tw, lvl)
-    m = tw.m(lvl)
-    gap, worst = _first_uncovered(reach, m)
+    dists = _class_distances(tw, lvl)
+    gap = _first_uncovered(tw, lvl, dists)
     if gap is not None:
         t, c = gap
         _recheck_unreachable(tw, t, c, lvl)
@@ -531,8 +543,8 @@ def aperiodic_past(tw: Tower, level: Optional[int] = None) -> Verdict:
             "unreached_class": c,
         }
         return Verdict("aperiodic", FAILS, None, cert)
-    cert = {"level": lvl, "pairs": len(reach) * m}
-    return Verdict("aperiodic", HOLDS, worst, cert)
+    cert = {"level": lvl, "pairs": len(tw.tsets) * len(dists)}
+    return Verdict("aperiodic", HOLDS, _radius(dists), cert)
 
 
 def irreducible_past(tw: Tower, level: Optional[int] = None) -> Verdict:
@@ -541,15 +553,13 @@ def irreducible_past(tw: Tower, level: Optional[int] = None) -> Verdict:
     underlying property quantifies over sequences of points and is not
     refuted by one unreachable pair.
 
-    The ``bounded_search`` radius (the longest minimal word, or the
-    saturation diameter when a pair is uncovered) is measured on the
-    presenting graph's T-sets: two presentations of one shift can give
-    different radii with the same status.
+    The ``bounded_search`` radius is the class graph's largest finite
+    distance: the longest minimal word from a class to a class it reaches.
+    The class graph belongs to the shift, not to its presentation.
     """
     lvl = _resolve_level(tw, level)
-    reach, diameter = _class_reachability(tw, lvl)
-    m = tw.m(lvl)
-    gap, worst = _first_uncovered(reach, m)
+    dists = _class_distances(tw, lvl)
+    gap = _first_uncovered(tw, lvl, dists)
     if gap is not None:
         t, c = gap
         cert = {
@@ -558,13 +568,13 @@ def irreducible_past(tw: Tower, level: Optional[int] = None) -> Verdict:
             "unreached_class": c,
             "note": "reachability is sufficient, not necessary",
         }
-        return Verdict("irreducible", INCONCLUSIVE, diameter, cert)
+        return Verdict("irreducible", INCONCLUSIVE, _radius(dists), cert)
     cert = {
         "level": lvl,
-        "pairs": len(reach) * m,
+        "pairs": len(tw.tsets) * len(dists),
         "note": "strong connectivity of the class graph; sufficient check",
     }
-    return Verdict("irreducible", HOLDS, worst, cert)
+    return Verdict("irreducible", HOLDS, _radius(dists), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -611,30 +621,19 @@ def ideal_lattice(tw: Tower, level: Optional[int] = None) -> IdealLatticeReport:
 
     Dropping the leading symbol of a point with T-set pre_a(t) yields a
     point with T-set t, so invariance of a union S of classes means: every
-    successor class of a member is a member.  Elements are generated as
-    unions of principal successor-closures.  Raises
+    successor class of a member is a member.  The least invariant union
+    holding class c is every class from which some prepended word reaches
+    c, read off the class graph's distances.  Elements are generated as
+    unions of these principal closures.  Raises
     :class:`IdealBudgetExceeded` past ``IDEAL_CAP`` elements.
     """
     lvl = _resolve_level(tw, level)
-    m = tw.m(lvl)
-    succ: dict[int, set[int]] = {c: set() for c in range(m)}
-    for t in tw.tsets:
-        target = tw.class_of(lvl, t)
-        for p in tw.pre[t]:
-            if p:
-                succ[tw.class_of(lvl, p)].add(target)
-
-    closures = {}
-    for c in range(m):
-        seen = {c}
-        work = [c]
-        while work:
-            v = work.pop()
-            for s in succ[v]:
-                if s not in seen:
-                    seen.add(s)
-                    work.append(s)
-        closures[c] = frozenset(seen)
+    dists = _class_distances(tw, lvl)
+    m = len(dists)
+    closures: list[set[int]] = [set() for _ in range(m)]
+    for d, row in enumerate(dists):
+        for c in row:
+            closures[c].add(d)
 
     elements = {frozenset()}
     work = [frozenset()]

@@ -20,6 +20,7 @@ from shiftca.errors import (
     EmptyShift,
     IdealBudgetExceeded,
     IllDefinedTransition,
+    NotStabilized,
 )
 from shiftca.pastsets import MonoidGraph, _trim_to_live, realized_tsets
 from shiftca.presentations import Presentation, to_labeled_graph
@@ -262,6 +263,47 @@ def test_verdicts_stable_one_level_past_stabilization():
         a = ideal_lattice(tw, level=l0)
         b = ideal_lattice(tw, level=l0 + 1)
         assert (a.elements, a.order) == (b.elements, b.order)
+
+
+def test_class_verdicts_refuse_levels_below_stabilization():
+    tw = build_tower(EVEN)
+    short = build_tower(EVEN, max_level=1)
+    assert (tw.stabilized_at, short.stabilized_at) == (2, None)
+    for fn in (aperiodic_past, irreducible_past, ideal_lattice):
+        with pytest.raises(NotStabilized, match="level 1 is below stabilization"):
+            fn(tw, level=1)
+        for level in (None, 1):
+            with pytest.raises(NotStabilized, match="within 1 levels; raise max_level$"):
+                fn(short, level=level)
+
+
+# the class {0, 1}, {0, 3}, {0, 1, 3} of three T-sets at the stabilized level
+SHARED_CLASS = Presentation.labeled_graph(
+    ("a", "b"),
+    4,
+    [(0, 0, "a"), (0, 1, "b"), (0, 2, "a"), (0, 3, "a"), (0, 3, "b"),
+     (1, 0, "b"), (2, 1, "a"), (2, 3, "a"), (3, 1, "b")],
+)
+
+
+@pytest.mark.parametrize("corruption", ["no predecessor", "another class"])
+def test_class_members_disagreeing_on_predecessors_raise(corruption):
+    tw = build_tower(SHARED_CLASS)
+    lvl = tw.stabilized_at
+    members = next(c.tsets for c in tw.level(lvl).classes if len(c.tsets) > 1)
+    assert members == (3, 9, 11)
+    row = list(tw.pre[9])
+    if corruption == "no predecessor":
+        row = [0] * len(row)
+    else:
+        a = next(a for a, p in enumerate(row) if p)
+        row[a] = next(
+            t for t in tw.tsets if tw.class_of(lvl, t) != tw.class_of(lvl, row[a])
+        )
+    tw.pre[9] = tuple(row)
+    for fn in (aperiodic_past, irreducible_past, ideal_lattice):
+        with pytest.raises(IllDefinedTransition, match="disagree on their predecessor"):
+            fn(tw)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ def _answers(build):
             check(tw).status
             for check in (condition_I, condition_star, aperiodic_past, irreducible_past)
         ],
+        "radii": [check(tw).method for check in (aperiodic_past, irreducible_past)],
         "ideals": (lattice.elements, lattice.order),
     }
 

@@ -9,6 +9,7 @@ from itertools import islice, product
 import pytest
 
 import shiftca
+from shiftca.conditions import _class_distances
 from shiftca.errors import EmptyShift, IllDefinedTransition, InputFormatError
 from shiftca.intlinalg import AbelianGroup
 from shiftca.invariants import k_groups
@@ -252,6 +253,48 @@ def _uncached_order(tw, l):
         return -1 if x_holds == goes_on else 1
 
     return sorted((sorted(b) for b in blocks), key=cmp_to_key(compare))
+
+
+def _saturation_distances(tw, lvl):
+    """Per realized T-set t: the least |u| with class(Pre_u(t)) = c, per
+    class c, by saturation over the predecessor sets of t itself, one
+    search per T-set: the reference for the class graph's rows."""
+    out = {}
+    for t in tw.tsets:
+        dist = {t: 0}
+        frontier = [t]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for s in frontier:
+                for p in tw.pre[s]:
+                    if p and p not in dist:
+                        dist[p] = d
+                        nxt.append(p)
+            frontier = nxt
+        best = {}
+        for s, ds in dist.items():
+            c = tw.class_of(lvl, s)
+            if c not in best or ds < best[c]:
+                best[c] = ds
+        out[t] = best
+    return out
+
+
+def test_class_distances_match_per_tset_saturation():
+    towers = 0
+    for pres in [*_order_corpus(), _gap(32), _gap(48)]:
+        try:
+            tw = build_tower(pres)
+        except EmptyShift:
+            continue
+        for lvl in (tw.stabilized_at, tw.top_level):
+            rows = _class_distances(tw, lvl)
+            for t, want in _saturation_distances(tw, lvl).items():
+                assert rows[tw.class_of(lvl, t)] == want, (pres, lvl, t)
+        towers += 1
+    assert towers > 250
 
 
 def test_cached_order_matches_uncached_comparator():
