@@ -51,8 +51,17 @@ its parent's value by one symbol, for a whole layer at once:
   it checks.
 
 Operators are ``int64`` partial-map arrays (-1 annihilates) with CSR
-preimage lists; a four-factor product is kept as its nonzero entries, on
-the interior columns its check compares and no others.
+preimage lists.  The checks run in batches: a batch is a run of
+consecutive word pairs (or, for the adjacency identity, symbols) whose
+interior columns add up to at most :data:`BATCH_COLUMNS`, and a wider one
+is a batch of its own.  Each batch is a few array passes over all of its
+columns: the compositions are flat gathers, a four-factor product is
+expanded from two preimage lists into its nonzero entries with
+multiplicity, its diagonal is counted with ``bincount``, and the
+projection expectations of all pairs walk their subtrees one layer at a
+time together.  The cached operators and preimage lists are read in
+place, never stacked or copied, so a batch's temporaries are linear in
+its columns plus the basis.
 
 The universal checks stop with :class:`RelationBudgetExceeded` (exit 2)
 before any operator is built when the number of word pairs times the
@@ -93,6 +102,10 @@ DEFAULT_WORD_BUDGET = 4
 #: Largest (word pairs) x (basis words) the universal checks accept; the
 #: full 6-shift at depth 4 and word budget 4 needs 7 465 x 1 555.
 RELATION_CAP = 1 << 24
+#: Interior columns one batch of relation checks may hold; a pair or symbol
+#: wider than this is a batch of its own.  A batch's temporaries are linear
+#: in its columns, so memory stays linear in this plus the basis.
+BATCH_COLUMNS = 1 << 16
 
 def trie_layers(auto: SubsetAutomaton) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Admissible words one length at a time, as ``(parent, last)`` arrays.
@@ -332,6 +345,99 @@ class RelationReport:
         }
 
 
+def _batches(widths: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Runs ``(start, stop)`` of consecutive items whose widths add up to at
+    most :data:`BATCH_COLUMNS`; a wider item is a run of its own."""
+    start, total = 0, 0
+    for i, w in enumerate(widths):
+        if i > start and total + w > BATCH_COLUMNS:
+            yield start, i
+            start, total = i, 0
+        total += w
+    if start < len(widths):
+        yield start, len(widths)
+
+
+def _gather(
+    arrays: Sequence[np.ndarray], bounds: Sequence[int], idx: np.ndarray
+) -> np.ndarray:
+    """``arrays[p][idx[i]]`` for the entries ``bounds[p] <= i < bounds[p + 1]``
+    of item p, one gather per run of items that share their array."""
+    out = np.empty(len(idx), dtype=np.int64)
+    start = 0
+    for p, arr in enumerate(arrays):
+        if p + 1 < len(arrays) and arrays[p + 1] is arr:
+            continue
+        a, b = bounds[start], bounds[p + 1]
+        np.take(arr, idx[a:b], out=out[a:b])
+        start = p + 1
+    return out
+
+
+def _spread(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``x[p]`` repeated ``n[p]`` times; one value is left to broadcast."""
+    return x if len(x) == 1 else np.repeat(x, n)
+
+
+def _join(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The parts end to end; one part is returned as it is, not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _first_per_item(bounds: Sequence[int], hits: np.ndarray) -> list[tuple[int, int]]:
+    """``(p, i)`` for the first of the sorted positions ``hits`` in each item
+    p, whose positions are ``bounds[p] <= i < bounds[p + 1]``."""
+    if not hits.size:
+        return []
+    who = np.searchsorted(bounds, hits, side="right") - 1
+    first = np.ones(len(hits), dtype=bool)
+    first[1:] = who[1:] != who[:-1]
+    return list(zip(who[first].tolist(), hits[first].tolist()))
+
+
+def _product_entries(
+    rep: TruncatedRep,
+    triples: Sequence[tuple[Word, Word, Word]],
+    lo: Sequence[int],
+    hi: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Nonzeros of ``s_outer s_mid^T s_mid s_inner^T`` for a batch of triples,
+    with multiplicity.
+
+    Column ``lo[p] <= c < hi[p]`` of triple p is batch column
+    ``base[p] + c - lo[p]``.  Returns ``(rows, cols, base)`` with one entry
+    per pair ``(y, z)`` such that ``s_inner(z) = c``, ``s_mid(y) = s_mid(z)``
+    and ``s_outer(y)`` is the row, in batch-column order.  The operators and
+    preimage lists are read in place.
+    """
+    base, zb = [0], [0]
+    starts, ends, zs = [], [], []
+    for (_, _, inner), a, b in zip(triples, lo, hi):
+        indptr, data = rep.preimages(inner)
+        starts.append(indptr[a:b])
+        ends.append(indptr[a + 1 : b + 1])
+        zs.append(data[indptr[a] : indptr[b]])
+        base.append(base[-1] + b - a)
+        zb.append(zb[-1] + len(zs[-1]))
+    cols = np.repeat(np.arange(base[-1]), _join(ends) - _join(starts))
+    m = _gather([rep.operator(mid) for _, mid, _ in triples], zb, _join(zs))
+    cols, m = cols[m >= 0], m[m >= 0]
+    # expand each m into its preimage run under s_mid
+    bounds = np.searchsorted(cols, base).tolist()
+    mid_preims = [rep.preimages(mid) for _, mid, _ in triples]
+    indptrs = [ip for ip, _ in mid_preims]
+    run_start = _gather(indptrs, bounds, m)
+    lens = _gather(indptrs, bounds, m + 1) - run_start
+    pos = np.repeat(run_start - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(len(pos))
+    cols = np.repeat(cols, lens)
+    bounds = np.searchsorted(cols, base).tolist()
+    y = _gather([data for _, data in mid_preims], bounds, pos)
+    rows = _gather([rep.operator(outer) for outer, _, _ in triples], bounds, y)
+    keep = rows >= 0
+    return rows[keep], cols[keep], base
+
+
 def partial_isometry_product(
     rep: TruncatedRep,
     outer: Union[str, Word],
@@ -347,104 +453,128 @@ def partial_isometry_product(
     """
     size = rep.size
     hi = size if hi is None else hi
-    mid_indptr, mid_data = rep.preimages(mid)
-    inner_indptr, z = rep.preimages(inner)
-    cols = np.repeat(np.arange(hi), np.diff(inner_indptr[: hi + 1]))
-    m = rep.operator(mid)[z[: inner_indptr[hi]]]
-    cols, m = cols[m >= 0], m[m >= 0]
-    # expand each m into its preimage run mid_data[mid_indptr[m]:mid_indptr[m + 1]]
-    lens = mid_indptr[m + 1] - mid_indptr[m]
-    run_start = np.repeat(mid_indptr[m] - (np.cumsum(lens) - lens), lens)
-    x = rep.operator(outer)[mid_data[run_start + np.arange(int(lens.sum()))]]
-    cols = np.repeat(cols, lens)
-    keys, counts = np.unique(x[x >= 0] * size + cols[x >= 0], return_counts=True)
+    rows, cols, _ = _product_entries(rep, [(outer, mid, inner)], [0], [hi])
+    keys, counts = np.unique(rows * size + cols, return_counts=True)
     return keys // size, keys % size, counts
 
 
-def _diagonal_witness(
-    rep: TruncatedRep, product, expected: np.ndarray, lo: int, hi: int
-) -> Optional[dict]:
-    """First mismatch, in (row, col) order, of a product against a diagonal.
+def _diagonal_witnesses(
+    rep: TruncatedRep,
+    triples: Sequence[tuple[Word, Word, Word]],
+    lo: Sequence[int],
+    hi: Sequence[int],
+    expected: np.ndarray,
+) -> list[Optional[dict]]:
+    """First mismatch, in (row, col) order, of each product against a diagonal.
 
-    Compares columns ``lo <= c < hi``, whose wanted diagonal entry is
-    ``expected[c - lo]``; None when they agree.
+    Triple p's product is compared on its columns ``lo[p] <= c < hi[p]``,
+    whose wanted diagonal entries ``expected`` holds in batch-column order
+    (see :func:`_product_entries`); its witness is None when they agree.
     """
-    keep = (product[1] >= lo) & (product[1] < hi)
-    rows, cols, counts = (a[keep] for a in product)
-    on = rows == cols
-    got = np.zeros(len(expected), dtype=np.int64)
-    got[cols[on] - lo] = counts[on]
-    bad = [(rows[k], cols[k], counts[k], 0) for k in np.nonzero(~on)[0][:1]]
-    for k in np.nonzero(got != expected)[0][:1]:
-        bad.append((k + lo, k + lo, got[k], expected[k]))
-    if not bad:
-        return None
-    r, c, g, e = (int(x) for x in min(bad))
-    return {
-        "row_word": rep.render(rep.words[r]),
-        "column_word": rep.render(rep.words[c]),
-        "got": g,
-        "expected": e,
-    }
-
-
-def _composition_check(rep: TruncatedRep, u: Word, v: Word) -> RelationCheck:
-    dim = rep.count_upto(rep.depth - len(u) - len(v))
-    su = rep.operator(u)
-    sv = rep.operator(v)[:dim]
-    direct = rep.operator(u + v)[:dim]
-    composite = np.where(sv >= 0, su[np.clip(sv, 0, None)], -1)
-    passed = bool(np.array_equal(composite, direct))
-    witness = None
-    if not passed:
-        i = int(np.nonzero(composite != direct)[0][0])
-
-        def _img(x: int) -> Optional[str]:
-            return rep.render(rep.words[x]) if x >= 0 else None
-
-        witness = {
-            "basis_word": rep.render(rep.words[i]),
-            "composite": _img(int(composite[i])),
-            "direct": _img(int(direct[i])),
+    rows, cols, base = _product_entries(rep, triples, lo, hi)
+    size = rep.size
+    shift = np.array(base[:-1]) - np.asarray(lo)  # batch column - column
+    local = cols - _spread(shift, np.diff(np.searchsorted(cols, base)))
+    on = rows == local
+    got = np.bincount(cols[on], minlength=base[-1])
+    bad: dict[int, list[tuple[int, int, int, int]]] = {}
+    off = np.flatnonzero(~on)
+    if off.size:
+        # each triple's least off-diagonal key and its multiplicity
+        who = np.searchsorted(base, cols[off], side="right") - 1
+        keys = rows[off] * size + local[off]
+        least = np.full(len(triples), size * size, dtype=np.int64)
+        np.minimum.at(least, who, keys)
+        for p in np.unique(who).tolist():
+            k = int(least[p])
+            n = int(np.count_nonzero((who == p) & (keys == k)))
+            bad[p] = [(k // size, k % size, n, 0)]
+    for p, b in _first_per_item(base, np.flatnonzero(got != expected)):
+        c = b - int(shift[p])
+        bad.setdefault(p, []).append((c, c, int(got[b]), int(expected[b])))
+    witnesses: list[Optional[dict]] = [None] * len(triples)
+    for p, candidates in bad.items():
+        r, c, g, e = min(candidates)
+        witnesses[p] = {
+            "row_word": rep.render(rep.words[r]),
+            "column_word": rep.render(rep.words[c]),
+            "got": g,
+            "expected": e,
         }
-    return RelationCheck(
-        "composition", rep.render(u), rep.render(v), dim, passed, witness
-    )
+    return witnesses
 
 
-def _projection_expected(rep: TruncatedRep, u: Word, v: Word) -> np.ndarray:
-    """Wanted diagonal of ``s_v s_u^T s_u s_v^T`` on its interior columns.
+def _composition_witnesses(
+    rep: TruncatedRep, pairs: Sequence[tuple[Word, Word]], dims: Sequence[int]
+) -> list[Optional[dict]]:
+    """First basis word ``w < dim`` with ``s_u(s_v(w)) != s_{uv}(w)`` per pair."""
+    bounds = [0]
+    for d in dims:
+        bounds.append(bounds[-1] + d)
+    sv = _join([rep.operator(v)[:d] for (_, v), d in zip(pairs, dims)])
+    # -1 reads the last entry, and is then set back to -1
+    composite = _gather([rep.operator(u) for u, _ in pairs], bounds, sv)
+    composite[sv < 0] = -1
+    del sv
+    direct = _join([rep.operator(u + v)[:d] for (u, v), d in zip(pairs, dims)])
 
-    Entry w is 1 exactly when ``w = v w'`` and ``u w'`` is admissible: the
-    state of ``u w'`` is walked from post*(V, u) down v's subtree of the
-    trie, one layer at a time.
+    def _img(x: int) -> Optional[str]:
+        return rep.render(rep.words[x]) if x >= 0 else None
+
+    witnesses: list[Optional[dict]] = [None] * len(pairs)
+    for p, b in _first_per_item(bounds, np.flatnonzero(composite != direct)):
+        witnesses[p] = {
+            "basis_word": rep.render(rep.words[b - bounds[p]]),
+            "composite": _img(int(composite[b])),
+            "direct": _img(int(direct[b])),
+        }
+    return witnesses
+
+
+def _expected_diagonals(
+    rep: TruncatedRep,
+    pairs: Sequence[tuple[Word, Word]],
+    dims: Sequence[int],
+    post: dict[Word, int],
+) -> np.ndarray:
+    """Wanted diagonals of ``s_v s_u^T s_u s_v^T`` on the columns below
+    ``dim``, per pair (u, v), end to end.
+
+    Entry w is 1 exactly when ``w = v w'`` and ``u w'`` is admissible.  The
+    state of ``u w'`` is walked from ``post[u]`` = post*(V, u) at index(v)
+    down v's subtree of the trie, one layer of every pair at a time; words
+    at or past ``dim`` are longer than the interior and end the pair's
+    walk.  Reads the trie and the automaton, never an operator array.
     """
-    max_len = rep.depth - len(u) - max(len(v), 1)
-    expected = np.zeros(rep.count_upto(max_len), dtype=np.int64)
-    if len(v) > max_len:
+    expected = np.zeros(sum(dims), dtype=np.int64)
+    walks = []  # (index(v), post*(V, u), first column, dim)
+    width = 0
+    for (u, v), d in zip(pairs, dims):
+        if len(v) <= rep.depth - len(u) - max(len(v), 1):  # v is interior
+            walks.append((rep.index_of(v), post[u], width, d))
+        width += d
+    if not walks:
         return expected
-    lo = rep.index_of(v)
-    hi = lo + 1
-    states = np.array([rep.automaton.state_of(u)])
-    expected[lo] = states[0] != DEAD
-    for _ in range(len(v), max_len):
-        # v's descendants one layer down: the children of words lo..hi-1,
-        # contiguous because ``parent`` is nondecreasing
-        prev = lo
-        lo, hi = np.searchsorted(rep.parent, (lo, hi)).tolist()
-        states = rep.automaton.step(states[rep.parent[lo:hi] - prev], rep.last[lo:hi])
-        expected[lo:hi] = states != DEAD
-    return expected
-
-
-def _projection_check(rep: TruncatedRep, u: Word, v: Word) -> RelationCheck:
-    expected = _projection_expected(rep, u, v)
-    dim = len(expected)
-    prod = partial_isometry_product(rep, v, u, v, dim)
-    witness = _diagonal_witness(rep, prod, expected, 0, dim)
-    return RelationCheck(
-        "projection", rep.render(u), rep.render(v), dim, witness is None, witness
-    )
+    roots, states, base, lim = np.array(walks, dtype=np.int64).T
+    expected[base + roots] = states != DEAD
+    # row 0 and row 1: each pair's layer is the words lo..hi-1, which sit at
+    # states[at:at + hi - lo]
+    layer, at = np.stack([roots, roots + 1]), np.arange(len(roots))
+    while True:
+        # one layer down: the children of words lo..hi-1, contiguous because
+        # ``parent`` is nondecreasing
+        below = np.minimum(np.searchsorted(rep.parent, layer), lim)
+        n = below[1] - below[0]
+        start = np.cumsum(n)
+        total = int(start[-1])
+        if not total:
+            return expected
+        start -= n
+        words = np.arange(total) + _spread(below[0] - start, n)
+        parents = rep.parent[words] + _spread(at - layer[0], n)
+        states = rep.automaton.step(states[parents], rep.last[words])
+        expected[words + _spread(base, n)] = states != DEAD
+        layer, at = below, start
 
 
 def _pair_budget_check(rep: TruncatedRep, word_budget: int) -> None:
@@ -491,13 +621,35 @@ def check_universal_relations(
         raise InputFormatError("word budget must be nonnegative")
     _pair_budget_check(rep, word_budget)
     pool = language_upto(rep.graph, word_budget)  # shortlex, so by length
-    checks: list[RelationCheck] = []
+    pairs: list[tuple[Word, Word]] = []
     for u in pool:
         for v in pool:
             if len(u) + len(v) > word_budget:
                 break
-            checks.append(_composition_check(rep, u, v))
-            checks.append(_projection_check(rep, u, v))
+            pairs.append((u, v))
+    depth = rep.depth
+    comp_dims = [rep.count_upto(depth - len(u) - len(v)) for u, v in pairs]
+    proj_dims = [rep.count_upto(depth - len(u) - max(len(v), 1)) for u, v in pairs]
+    names = {w: rep.render(w) for w in pool}
+    post = {w: rep.automaton.state_of(w) for w in pool}
+    checks: list[RelationCheck] = []
+    for a, b in _batches([c + p for c, p in zip(comp_dims, proj_dims)]):
+        batch, comp, proj = pairs[a:b], comp_dims[a:b], proj_dims[a:b]
+        composition = _composition_witnesses(rep, batch, comp)
+        projection = _diagonal_witnesses(
+            rep,
+            [(v, u, v) for u, v in batch],
+            [0] * len(batch),
+            proj,
+            _expected_diagonals(rep, batch, proj, post),
+        )
+        for (u, v), dc, dp, wc, wp in zip(batch, comp, proj, composition, projection):
+            checks.append(
+                RelationCheck("composition", names[u], names[v], dc, wc is None, wc)
+            )
+            checks.append(
+                RelationCheck("projection", names[u], names[v], dp, wp is None, wp)
+            )
     return RelationReport(
         depth=rep.depth,
         basis_size=rep.size,
@@ -548,11 +700,23 @@ def check_ck_relations(
     )
 
     adj_hi = rep.count_upto(rep.depth - 2)
-    for i in occurring:
-        # S_i^T S_i, compared with sum_j A(i,j) S_j S_j^T off the empty word
-        rhs_diag = sum((c for c, a in zip(preim_counts, mat[i]) if a), zero)
-        prod = partial_isometry_product(rep, (), (syms[i],), (), adj_hi)
-        witness = _diagonal_witness(rep, prod, rhs_diag[1:adj_hi], 1, adj_hi)
+    # S_i^T S_i, compared with sum_j A(i,j) S_j S_j^T off the empty word
+    triples = [((), (syms[i],), ()) for i in occurring]
+    expected = [
+        sum((c for c, a in zip(preim_counts, mat[i]) if a), zero)[1:adj_hi]
+        for i in occurring
+    ]
+    witnesses: list[Optional[dict]] = [None] * len(occurring)
+    if adj_hi > 1:
+        for a, b in _batches([adj_hi - 1] * len(occurring)):
+            witnesses[a:b] = _diagonal_witnesses(
+                rep,
+                triples[a:b],
+                [1] * (b - a),
+                [adj_hi] * (b - a),
+                np.concatenate(expected[a:b]),
+            )
+    for i, witness in zip(occurring, witnesses):
         checks.append(
             RelationCheck(
                 "ck-adjacency",

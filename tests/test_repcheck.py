@@ -251,6 +251,27 @@ def test_deep_truncation_checks_stay_sparse():
     assert check_ck_relations(r).passed
 
 
+@pytest.mark.parametrize("batch", [1, 1 << 40], ids=["one-column", "unbounded"])
+def test_reports_do_not_depend_on_the_batch_size(monkeypatch, batch):
+    # a batch of one column holds one pair (or symbol) each; 2^40 columns
+    # hold every pair of a report in one batch
+    three = Presentation.sft(("a", "b", "c"), ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
+    cases = [(GOLDEN, 10), (EVEN, 12), (three, 9)]
+
+    def reports():
+        out = []
+        for p, depth in cases:
+            r = build_truncation(p, depth)
+            out.append(check_universal_relations(r).to_json_dict())
+            if p.kind == "sft":
+                out.append(check_ck_relations(r).to_json_dict())
+        return out
+
+    want = reports()
+    monkeypatch.setattr(shiftca.repcheck, "BATCH_COLUMNS", batch)
+    assert reports() == want
+
+
 def test_relation_budget_stops_before_any_operator():
     # all-ones upper-triangular n = 30: 635 376 pairs at word budget 4 on a
     # basis of 5 456 words
