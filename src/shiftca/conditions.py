@@ -1,15 +1,14 @@
 """Structural verdicts about a shift space.
 
-Only condition (I) reads the relation monoid, to count points; the others
-read the tower and its predecessor table ``Tower.pre``, the backward subset
-automaton.  Four yes/no questions about the class structure are answered with
-certificates, plus one lattice enumeration:
+Every verdict reads the tower and its predecessor table ``Tower.pre``, the
+backward subset automaton; of the relation monoid, condition (I) reads its
+size alone.  Four yes/no questions about the class structure are answered
+with certificates, plus one lattice enumeration:
 
 * :func:`condition_I` — does every class (at the stabilized level) contain at
-  least two points?  Decided by one pass over the monoid graph that counts
-  the points of every realized T-set at once, clamped at 2, as entry words
-  times forced tails; a failing class comes with its unique point, which is
-  re-verified by an independent bounded enumeration.
+  least two points?  Condition (L) on the stable class graph: a class holds
+  one point iff no walk from it branches.  A failing class comes with its
+  unique point, re-verified on the input graph by a bounded enumeration.
 * :func:`condition_star` — does every infinite word class share its past set
   with some class of points?  Decided by a joint partition refinement over
   all states of the backward subset automaton, run to its own fixpoint.
@@ -30,11 +29,16 @@ Every verdict is deterministic: same tower, same answer, same certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
-from .errors import IdealBudgetExceeded, IllDefinedTransition, NotStabilized
-from .pastsets import MonoidGraph, _trim_to_live
-from .presentations import Word
+from .errors import (
+    IdealBudgetExceeded,
+    IllDefinedTransition,
+    InputFormatError,
+    NotStabilized,
+)
+from .pastsets import _trim_to_live
+from .presentations import Graph, Word
 from .tower import Tower, refine
 
 HOLDS = "holds"
@@ -90,180 +94,108 @@ def _vertex_names(tw: Tower, mask: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _point_counts(
-    monoid: MonoidGraph,
-) -> dict[int, tuple[int, Optional[tuple[Word, Word]]]]:
-    """Clamped-at-2 number of points per realized T-set, in one pass.
+def _refine_to_fixpoint(
+    states: Collection[int], blocks: list, table: dict[int, tuple[int, ...]]
+) -> tuple[dict[int, int], int]:
+    """Refine ``blocks`` of ``states`` (:func:`~shiftca.tower.refine`) until a
+    round splits nothing: the state -> block map and the rounds that split."""
+    rounds = 0
+    while True:
+        block = {s: i for i, members in enumerate(blocks) for s in members}
+        finer = refine(states, block, table)
+        if len(finer) == len(blocks):
+            return block, rounds
+        blocks, rounds = finer, rounds + 1
 
-    A point is an infinite walk in the monoid graph starting at the identity,
-    and its T-set is the eventually-constant domain along the walk (domains
-    only shrink).  Walks with eventual domain t therefore decompose uniquely
-    into a first-entry prefix into S = {nodes with domain t} followed by an
-    infinite tail inside the live part of S, so the count is
 
-        sum over live r in S of  entry(r) * tails(r),
+def _one_point_classes(rows: list[tuple[int, ...]]) -> dict[int, tuple[int, int]]:
+    """The one-point classes of the stable class graph with predecessor rows
+    ``rows``, each with its one outgoing edge (symbol, class).
 
-    with every term clamped at 2.  Every node before the entry step has a
-    domain strictly above t, so any word reaching it will do:
-
-        entry(r) = [r = 0] + sum over in-edges (p, a) with dom(p) != dom(r)
-                   of words(p),
-
-    where words(p), the clamped number of words reaching p, is 1 exactly on
-    the tree of in-degree-1 nodes grown from an in-degree-0 identity (its
-    parent edges spell the prefix) and 2 elsewhere.  Maps each T-set to
-    ``(count, witness)``, where witness is ``(prefix_word, cycle_word)`` for
-    the unique point when count == 1, else None.
+    A point x = a·y walks from class(x) to class(y) reading a: an edge
+    c --a--> d when ``rows[d][a] == c``.  Distinct points give distinct
+    walks and every class holds a point, so a class holds one point iff
+    every class its walks reach has one outgoing edge.  The classes with
+    two or more are marked and the marks closed backwards along the rows.
+    A class with no edge holds no point and raises IllDefinedTransition.
     """
-    step = monoid.step
-    doms = monoid.doms
-    indeg = [0] * len(monoid)
-    for row in step:
-        for j in row:
-            if j is not None:
-                indeg[j] += 1
-    tree: dict[int, Optional[tuple[int, int]]] = {}  # node -> (parent, symbol)
-    if indeg[0] == 0:
-        tree[0] = None
-        work = [0]
-        while work:
-            p = work.pop()
-            for a, j in enumerate(step[p]):
-                if j is not None and indeg[j] == 1:
-                    tree[j] = (p, a)
-                    work.append(j)
-    entry = [0] * len(monoid)
-    entry[0] = 1
-    entered_by: dict[int, tuple[int, int]] = {}
-    for p, row in enumerate(step):
-        for a, r in enumerate(row):
-            if r is not None and doms[r] != doms[p]:
-                entry[r] += 1 if p in tree else 2
-                entered_by[r] = (p, a)
-
-    symbols = monoid.graph.alphabet.symbols
-    out = {}
-    for t, live in monoid.live_by_dom.items():
-        # tails: from r the tail is unique iff no node it reaches inside live
-        # offers two symbols that stay in live
-        stay = {v: [(a, j) for a, j in enumerate(step[v]) if j in live] for v in live}
-        rev: dict[int, list[int]] = {v: [] for v in live}
-        for v, edges in stay.items():
-            for _, j in edges:
-                rev[j].append(v)
-        branches = {v for v in live if len(stay[v]) >= 2}
-        work = list(branches)
-        while work:
-            for p in rev[work.pop()]:
-                if p not in branches:
-                    branches.add(p)
-                    work.append(p)
-        count = 0
-        sole = None
-        for r in live:
-            k = min(entry[r] * (2 if r in branches else 1), 2)
-            if k == 1:
-                sole = r
-            count = min(count + k, 2)
-        if count != 1:
-            out[t] = (count, None)
-            continue
-
-        # witness: the tree path to the single entry edge, then the forced
-        # tail until it repeats a node
-        prefix: list[int] = []
-        edge = entered_by.get(sole)
-        while edge is not None:
-            p, a = edge
-            prefix.append(a)
-            edge = tree[p]
-        prefix.reverse()
-        tail: list[int] = []
-        order = {sole: 0}
-        cur = sole
-        while True:
-            ((a, cur),) = stay[cur]
-            tail.append(a)
-            if cur in order:
-                break
-            order[cur] = len(tail)
-        split = order[cur]
-        prefix_word = tuple(symbols[a] for a in prefix + tail[:split])
-        out[t] = (1, (prefix_word, tuple(symbols[a] for a in tail[split:])))
-    return out
-
-
-def _reverify_unique_point(
-    tw: Tower, level: int, class_index: int, prefix: Word, cycle: Word, depth: int
-) -> None:
-    """Independent bounded re-check of a condition (I) failure certificate.
-
-    Raises when either the claimed point does not land in the claimed class,
-    or when counting admissible length-``depth`` prefixes of class members
-    finds anything other than exactly one.
-    """
-    monoid = tw.monoid
-    alph = tw.graph.alphabet
-    # (a) walk the point and pin its eventual T-set
-    node = 0
-    for s in prefix:
-        stepped = monoid.step[node][alph.index(s)]
-        if stepped is None:
-            raise IllDefinedTransition("certificate point leaves the language")
-        node = stepped
-    if not cycle:
-        raise IllDefinedTransition("certificate period is empty")
-    # iterate the period until the (node, phase) state repeats; past that
-    # point the walk is periodic, so admissibility holds at every length and
-    # the domain is pinned at its eventual value
-    seen: set[tuple[int, int]] = set()
-    phase = 0
-    while (node, phase) not in seen:
-        seen.add((node, phase))
-        stepped = monoid.step[node][alph.index(cycle[phase])]
-        if stepped is None:
-            raise IllDefinedTransition("certificate point leaves the language")
-        node = stepped
-        phase = (phase + 1) % len(cycle)
-    eventual = monoid.doms[node]
-    if tw.class_of(level, eventual) != class_index:
-        raise IllDefinedTransition("certificate point lands in the wrong class")
-
-    # (b) clamped count of length-`depth` words extendable to a point of the
-    # class: a word extends iff its monoid node can reach the live part of
-    # some member T-set
-    targets: set[int] = set()
-    for t in tw.level(level).classes[class_index].tsets:
-        targets |= monoid.live_by_dom[t]
-    ok = set(targets)
-    rev: dict[int, set[int]] = {}
-    for v in range(len(monoid)):
-        for j in monoid.successors(v):
-            rev.setdefault(j, set()).add(v)
-    work = list(targets)
+    out: list[list[tuple[int, int]]] = [[] for _ in rows]
+    for d, row in enumerate(rows):
+        for a, c in enumerate(row):
+            if c >= 0:
+                out[c].append((a, d))
+    if not all(out):
+        raise IllDefinedTransition(f"stable class {out.index([])} holds no point")
+    marked = {c for c, edges in enumerate(out) if len(edges) > 1}
+    work = list(marked)
     while work:
-        v = work.pop()
-        for p in rev.get(v, ()):
-            if p not in ok:
-                ok.add(p)
-                work.append(p)
-    if 0 not in ok:
-        raise IllDefinedTransition("class is unreachable from the identity")
-    counts = {0: 1}
-    for _ in range(depth):
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for a in range(len(alph)):
-                j = monoid.step[v][a]
-                if j is not None and j in ok:
-                    nxt[j] = min(nxt.get(j, 0) + c, 2)
-        counts = nxt
-    total = min(sum(counts.values()), 2)
-    if total != 1:
-        raise IllDefinedTransition(
-            f"bounded enumeration found {total} admissible prefixes at depth "
-            f"{depth}, expected exactly 1"
-        )
+        for c in rows[work.pop()]:
+            if c >= 0 and c not in marked:
+                marked.add(c)
+                work.append(c)
+    return {c: edges[0] for c, edges in enumerate(out) if c not in marked}
+
+
+def _sole_point(
+    g: Graph, forced: dict[int, tuple[int, int]], c: int
+) -> tuple[Word, Word]:
+    """The point x of the one-point class c, read along its forced walk and
+    split at the first repeat of the word relation: (x[:j], x[j:k]) for the
+    least k with R_{x[:k]} = R_{x[:j]}, j < k.  Then x[:j]·x[k:] is a point
+    of the class too, so it is x, and x[j:] repeats x[j:k].  Row v of R_u
+    holds the ends of the u-paths from v, built symbol by symbol with
+    ``Graph.post``."""
+    read: list[int] = []
+    rel = tuple(1 << v for v in range(g.n_vertices))
+    at = {rel: 0}
+    while True:
+        a, c = forced[c]
+        read.append(a)
+        rel = tuple(g.post(row, a) for row in rel)
+        j = at.setdefault(rel, len(read))
+        if j < len(read):
+            break
+    symbols = g.alphabet.symbols
+    return tuple(symbols[a] for a in read[:j]), tuple(symbols[a] for a in read[j:])
+
+
+def _recheck_sole_point(
+    tw: Tower, members: tuple[int, ...], prefix: Word, period: Word, depth: int
+) -> None:
+    """Second opinion on a one-point class, read off the input graph and
+    ``tw.pre``, not the class graph; raises IllDefinedTransition unless
+    (a) T(prefix·period^∞), Pre_prefix of the fixpoint of Pre_period from V,
+    is a member T-set, and (b) exactly one word of each length up to
+    ``depth`` begins a point of the class.  A word w does iff Pre_w(s) is
+    a member for a realized s.  The set Q_w of those s fixes every later
+    layer, as Q_{w·a} = {s : Pre_a(s) in Q_w}, so (b) stops once Q repeats.
+    """
+    g = tw.graph
+    alphabet = range(len(g.alphabet))
+
+    def pre(t: int, word: Word) -> int:
+        for s in reversed(word):
+            t = g.pre(t, g.alphabet.index(s))
+        return t
+
+    t = g.full_mask
+    while pre(t, period) != t:
+        t = pre(t, period)
+    if not period or pre(t, prefix) not in members:
+        raise IllDefinedTransition("certificate point is not in its class")
+    q = frozenset(members)
+    seen = {q}
+    for k in range(1, depth + 1):
+        ext = [frozenset(s for s in tw.tsets if tw.pre[s][a] in q) for a in alphabet]
+        ext = [e for e in ext if e]
+        if len(ext) != 1:
+            raise IllDefinedTransition(
+                f"{len(ext)} words of length {k} begin a point of the class"
+            )
+        q = ext[0]
+        if q in seen:
+            return
+        seen.add(q)
 
 
 def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
@@ -276,62 +208,47 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
     a level below ``stabilized_at`` (an explicit ``level``, or the top built
     level of a tower that never stabilized within its budget) a singleton
     therefore FAILS exactly, and its absence is INCONCLUSIVE with that level
-    as the bounded-search radius.  The points of all
-    T-sets are counted together (clamped at 2) by one pass over the monoid
-    graph.  A failure certificate names the class and its unique eventually
-    periodic point, and is re-verified by an independent enumeration to
-    depth 2 * monoid size.
+    as the bounded-search radius.  Points are counted on the stable class
+    graph, the stabilized or top built level refined to its fixpoint with
+    no level built (:func:`_one_point_classes`).  A failure certificate
+    names the class and its unique eventually periodic point, re-verified
+    by :func:`_recheck_sole_point` to depth 2 * monoid size, the only thing
+    read off the relation monoid.
 
     The status is a property of the shift.  The certificate's
     ``reverified_to_depth`` and the split of the point into ``prefix`` and
     ``period`` are properties of the presenting graph: two presentations of
     one shift can give different values.
     """
-    if level is not None:
-        lvl = level
-    elif tw.stabilized_at is None:
-        lvl = tw.top_level
-    else:
-        lvl = tw.stabilized_at
+    default = tw.top_level if tw.stabilized_at is None else tw.stabilized_at
+    lvl = default if level is None else level
     tier = tw.level(lvl)
-    counts = _point_counts(tw.monoid)
-    witnesses = {}
-    singleton = None
-    for cls in tier.classes:
-        total = 0
-        wit = None
-        for t in cls.tsets:
-            cnt, w = counts[t]
-            if cnt == 0:
-                raise IllDefinedTransition(
-                    "realized T-set carries no point; realizedness broke"
-                )
-            if cnt == 1:
-                wit = w
-            total = min(total + cnt, 2)
-        witnesses[cls.index] = total
-        if total == 1 and singleton is None:
-            singleton = (cls.index, wit)
-    if singleton is None:
+    # every level refines to the same fixpoint, the stable partition
+    blocks = [c.tsets for c in tw.level(default).classes]
+    stable, _ = _refine_to_fixpoint(tw.tsets, blocks, tw.pre)
+    forced = _one_point_classes(_class_rows(tw, stable))
+    single = [
+        c for c in tier.classes if len(c.tsets) == 1 and stable[c.tsets[0]] in forced
+    ]
+    if not single:
         cert = {
             "level": lvl,
-            "classes": [
-                {"class": i, "points": ">=2"} for i in sorted(witnesses)
-            ],
+            "classes": [{"class": c.index, "points": ">=2"} for c in tier.classes],
         }
         if tw.stabilized_at is None or lvl < tw.stabilized_at:
             return Verdict("I", INCONCLUSIVE, lvl, cert)
         return Verdict("I", HOLDS, None, cert)
-    idx, (prefix, cycle) = singleton
+    cls = single[0]
+    prefix, period = _sole_point(tw.graph, forced, stable[cls.tsets[0]])
     depth = 2 * len(tw.monoid)
-    _reverify_unique_point(tw, lvl, idx, prefix, cycle, depth)
+    _recheck_sole_point(tw, cls.tsets, prefix, period, depth)
     alph = tw.graph.alphabet
     cert = {
         "level": lvl,
-        "class": idx,
+        "class": cls.index,
         "point": {
             "prefix": alph.format_word(prefix),
-            "period": alph.format_word(cycle),
+            "period": alph.format_word(period),
         },
         "reverified_to_depth": depth,
     }
@@ -378,15 +295,7 @@ def condition_star(tw: Tower) -> Verdict:
     table = tw.pre
     flagged = sorted(_infinite_word_domains(table))
     realized = set(tw.tsets)
-    blocks = [list(table)]
-    fixpoint_level = 0
-    while True:
-        block = {s: i for i, members in enumerate(blocks) for s in members}
-        finer = refine(table, block, table)
-        if len(finer) == len(blocks):
-            break
-        blocks = finer
-        fixpoint_level += 1
+    block, fixpoint_level = _refine_to_fixpoint(table, [list(table)], table)
 
     matches = []
     failing = None
@@ -424,6 +333,8 @@ def condition_star(tw: Tower) -> Verdict:
 def _resolve_level(tw: Tower, level: Optional[int]) -> int:
     """``level``, by default the stabilized level; the class-level verdicts
     read no level below it, where Pre_a need not act on classes."""
+    if level is not None and level < 0:
+        raise InputFormatError(f"level must be nonnegative, got {level}")
     if tw.stabilized_at is None:
         raise NotStabilized(
             f"tower not stabilized within {tw.top_level} levels; raise max_level"
@@ -435,6 +346,27 @@ def _resolve_level(tw: Tower, level: Optional[int]) -> int:
             f"level {level} is below stabilization at level {tw.stabilized_at}"
         )
     return level
+
+
+def _class_rows(tw: Tower, cls: dict[int, int]) -> list[tuple[int, ...]]:
+    """Per class of the partition ``cls`` (realized T-set -> class index,
+    classes numbered from 0): its row of predecessor classes, the class of
+    Pre_a(t) per symbol a or -1 when Pre_a(t) is empty, for any member t.
+    Raises IllDefinedTransition when a predecessor is not realized or class
+    members disagree on a row."""
+    rows: dict[int, tuple[int, ...]] = {}
+    for t in tw.tsets:
+        try:
+            row = tuple(cls[p] if p else -1 for p in tw.pre[t])
+        except KeyError:
+            raise IllDefinedTransition(
+                "predecessor of a realized T-set is not realized"
+            ) from None
+        if rows.setdefault(cls[t], row) != row:
+            raise IllDefinedTransition(
+                f"members of class {cls[t]} disagree on their predecessor classes"
+            )
+    return [rows[c] for c in range(len(rows))]
 
 
 def _class_distances(tw: Tower, lvl: int) -> list[dict[int, int]]:
@@ -449,20 +381,7 @@ def _class_distances(tw: Tower, lvl: int) -> list[dict[int, int]]:
     a predecessor is not realized or class members disagree on a row.
     """
     cls = {t: c.index for c in tw.level(lvl).classes for t in c.tsets}
-    rows: dict[int, tuple[int, ...]] = {}
-    for t in tw.tsets:
-        try:
-            row = tuple(cls[p] if p else -1 for p in tw.pre[t])
-        except KeyError:
-            raise IllDefinedTransition(
-                "predecessor of a realized T-set is not realized"
-            ) from None
-        if rows.setdefault(cls[t], row) != row:
-            raise IllDefinedTransition(
-                f"members of class {cls[t]} at level {lvl} disagree on "
-                "their predecessor classes"
-            )
-    succ = [set(rows[c]) - {-1} for c in range(len(rows))]
+    succ = [set(row) - {-1} for row in _class_rows(tw, cls)]
     dists = []
     for c in range(len(succ)):
         dist = {c: 0}

@@ -14,8 +14,7 @@ conditions read every Pre_a from.  The finitely many word relations R_u (u
 ranging over admissible words) form a monoid under composition; its
 left-to-right Cayley graph — nodes are distinct nonzero relations, the edge
 for symbol a maps R_u to R_{u·a} — decides which of those sets are realized
-T-sets, and counts the points of each for condition (I).  Each relation
-is stored as one int, column by column, and a Cayley edge costs the
+T-sets; condition (I) reads only its size.  Each relation is stored as one int, column by column, and a Cayley edge costs the
 nonzero columns it reads, not the vertex count (see :class:`MonoidGraph`).
 
 Whether and how often a T-set has a past word of a given length is read

@@ -218,6 +218,10 @@ class Tower:
         return found
 
     def ensure_level(self, level: int) -> None:
+        """Build levels up to ``level``; a negative one raises
+        :class:`InputFormatError`."""
+        if level < 0:
+            raise InputFormatError(f"level must be nonnegative, got {level}")
         while len(self.levels) <= level:
             self._append_level(refine(self.tsets, self._class_maps[-1], self.pre))
 
@@ -268,10 +272,13 @@ def build_tower(
 
     ``stabilized_at`` is None when the budget ran out first; levels
     0..min(stabilization+1, max_level) are materialized.  A negative
-    ``max_level`` raises :class:`InputFormatError`.
+    ``max_level`` or a ``monoid_cap`` below 1 raises
+    :class:`InputFormatError`.
     """
     if max_level < 0:
         raise InputFormatError(f"max_level must be nonnegative, got {max_level}")
+    if monoid_cap < 1:
+        raise InputFormatError(f"monoid_cap must be at least 1, got {monoid_cap}")
     g = source if isinstance(source, Graph) else to_labeled_graph(source)
     tw = Tower(g, MonoidGraph(g, monoid_cap))
     while tw.stabilized_at is None and tw.top_level < max_level:

@@ -310,7 +310,12 @@ def test_malformed_documents_exit_one(name, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["dimension-group", "--k-max", "-1", "--json"], ["kgroups", "-l", "-1"]],
+    [
+        ["dimension-group", "--k-max", "-1", "--json"],
+        ["kgroups", "-l", "-1"],
+        ["kgroups", "--monoid-cap", "-5"],
+        ["check", "--condition", "I", "--monoid-cap", "0"],
+    ],
 )
 def test_negative_budgets_exit_one(argv, inputs, capsys):
     code, out, err = run(capsys, argv + ["-i", inputs["gm"]])

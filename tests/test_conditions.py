@@ -8,7 +8,11 @@ import pytest
 import shiftca.conditions
 from shiftca.conditions import (
     Verdict,
-    _point_counts,
+    _class_rows,
+    _one_point_classes,
+    _recheck_sole_point,
+    _refine_to_fixpoint,
+    _sole_point,
     aperiodic_past,
     condition_I,
     condition_star,
@@ -20,10 +24,11 @@ from shiftca.errors import (
     EmptyShift,
     IdealBudgetExceeded,
     IllDefinedTransition,
+    InputFormatError,
     NotStabilized,
 )
-from shiftca.pastsets import MonoidGraph, _trim_to_live, realized_tsets
-from shiftca.presentations import Presentation, to_labeled_graph
+from shiftca.pastsets import MonoidGraph, _trim_to_live
+from shiftca.presentations import Presentation
 from shiftca.tower import build_tower
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
@@ -185,6 +190,21 @@ class _PoisonedMonoid:
         raise AssertionError(f"read monoid.{name}")
 
 
+def _size_only(n):
+    """A relation monoid stand-in that answers ``len`` and nothing else."""
+
+    class SizeOnly(_PoisonedMonoid):
+        def __len__(self):
+            return n
+
+    return SizeOnly()
+
+
+# (presentation, max_level); the even shift at 1 does not stabilize
+MONOID_FREE_TOWERS = ((GOLDEN, 64), (EVEN, 64), (EVEN, 1), (FULL2, 64),
+                      (TWO_POINTS, 64), (STAR_FAILS, 64))
+
+
 def test_condition_star_reads_no_monoid():
     assert condition_star(build_tower(STAR_FAILS)).to_json_dict() == {
         "condition": "star",
@@ -192,12 +212,52 @@ def test_condition_star_reads_no_monoid():
         "method": "exact",
         "certificate": {"level": 4, "word_class_dom": ["0", "2"]},
     }
-    for pres, max_level in ((GOLDEN, 64), (EVEN, 64), (EVEN, 1), (FULL2, 64),
-                            (TWO_POINTS, 64), (STAR_FAILS, 64)):
+    for pres, max_level in MONOID_FREE_TOWERS:
         tw = build_tower(pres, max_level=max_level)
         want = condition_star(tw).to_json_dict()
         tw.monoid = _PoisonedMonoid()
         assert condition_star(tw).to_json_dict() == want
+
+
+def test_condition_I_reads_only_the_monoid_size():
+    for pres, max_level in MONOID_FREE_TOWERS:
+        tw = build_tower(pres, max_level=max_level)
+        want = condition_I(tw).to_json_dict()
+        tw.monoid = _size_only(len(tw.monoid))
+        assert condition_I(tw).to_json_dict() == want
+    # the re-check stops once the set of T-sets that its one word can lead
+    # repeats, so a huge depth costs nothing
+    tw = build_tower(EVEN)
+    tw.monoid = _size_only(10**12)
+    assert condition_I(tw).certificate["reverified_to_depth"] == 2 * 10**12
+
+
+def test_sole_point_recheck_refuses_wrong_certificates():
+    tw = build_tower(EVEN)
+    # class 0 = {T((11)^oo)} holds one point, class 1 = {T(0^oo)} many
+    assert [c.tsets for c in tw.level(2).classes] == [(3,), (1,), (2,)]
+    _recheck_sole_point(tw, (3,), (), ("1", "1"), 12)
+    _recheck_sole_point(tw, (3,), ("1", "1"), ("1", "1", "1", "1"), 12)
+    for prefix, period in (((), ("0",)), (("0",), ("1", "1")), ((), ())):
+        with pytest.raises(IllDefinedTransition, match="not in its class"):
+            _recheck_sole_point(tw, (3,), prefix, period, 12)
+    with pytest.raises(IllDefinedTransition, match="2 words of length 1 begin"):
+        _recheck_sole_point(tw, (1,), (), ("0",), 12)
+
+
+def test_negative_levels_raise_input_format_error():
+    tw = build_tower(EVEN)
+    top = tw.top_level
+    for read in (tw.level, tw.ensure_level, lambda l: tw.class_of(l, 3)):
+        with pytest.raises(InputFormatError, match="got -1"):
+            read(-1)
+    for fn in (condition_I, aperiodic_past, irreducible_past, ideal_lattice):
+        with pytest.raises(InputFormatError, match="got -1"):
+            fn(tw, level=-1)
+        # before NotStabilized on a tower that did not stabilize
+        with pytest.raises(InputFormatError):
+            fn(build_tower(EVEN, max_level=1), level=-2)
+    assert tw.top_level == top
 
 
 def test_parallel_readings_do_not_fake_a_second_point():
@@ -307,7 +367,7 @@ def test_class_members_disagreeing_on_predecessors_raise(corruption):
 
 
 # ---------------------------------------------------------------------------
-# point counting against the per-T-set fixpoint it replaced
+# point counting against a per-T-set count on the relation monoid
 # ---------------------------------------------------------------------------
 
 
@@ -475,26 +535,79 @@ def _small_graphs():
         yield syms, nv, sorted(edges)
 
 
-def test_point_counts_match_per_tset_reference():
-    compared = unique = identity_in_s = looped_identity = 0
+def _small_towers():
     for syms, nv, edges in _small_graphs():
         try:
-            g = to_labeled_graph(Presentation.labeled_graph(syms, nv, edges))
+            yield build_tower(Presentation.labeled_graph(syms, nv, edges))
         except EmptyShift:
             continue
-        monoid = MonoidGraph(g)
-        got = _point_counts(monoid)
-        tsets = realized_tsets(monoid)
-        assert sorted(got) == list(tsets)
-        for t in tsets:
-            want = _count_points_with_tset(monoid, t)
-            assert got[t] == want, (syms, nv, edges, t)
+
+
+def test_point_counts_match_per_tset_reference():
+    # per stable class, refined from one block: the class-graph count and
+    # witness against the clamped sum over its members on the monoid
+    compared = unique = identity_in_s = looped_identity = 0
+    for tw in _small_towers():
+        monoid = tw.monoid
+        stable, _ = _refine_to_fixpoint(tw.tsets, [tw.tsets], tw.pre)
+        forced = _one_point_classes(_class_rows(tw, stable))
+        members: dict[int, list[int]] = {}
+        for t in tw.tsets:
+            members.setdefault(stable[t], []).append(t)
+        for c, tsets in members.items():
+            want = [_count_points_with_tset(monoid, t) for t in tsets]
+            count = min(sum(n for n, _ in want), 2)
+            assert (1 if c in forced else 2) == count, (tw.graph, c)
+            if count == 1:
+                assert _sole_point(tw.graph, forced, c) == want[0][1], (tw.graph, c)
+                unique += 1
             compared += 1
-            unique += want[0] == 1
-            identity_in_s += monoid.doms[0] == t
+            identity_in_s += monoid.doms[0] in tsets
         looped_identity += any(0 in row for row in monoid.step)
     assert compared > 1000 and unique > 300
     assert identity_in_s > 0 and looped_identity > 0
+
+
+def _reference_condition_I(tw, lvl, counts):
+    """condition_I's JSON at ``lvl`` from ``counts``, T-set ->
+    ``_count_points_with_tset`` on the monoid."""
+    classes = tw.level(lvl).classes
+    for c in classes:
+        if min(sum(counts[t][0] for t in c.tsets), 2) == 1:
+            prefix, period = counts[c.tsets[0]][1]
+            fmt = tw.graph.alphabet.format_word
+            cert = {
+                "level": lvl,
+                "class": c.index,
+                "point": {"prefix": fmt(prefix), "period": fmt(period)},
+                "reverified_to_depth": 2 * len(tw.monoid),
+            }
+            return {"condition": "I", "status": "fails", "method": "exact",
+                    "certificate": cert}
+    cert = {
+        "level": lvl,
+        "classes": [{"class": c.index, "points": ">=2"} for c in classes],
+    }
+    if tw.stabilized_at is None or lvl < tw.stabilized_at:
+        return {"condition": "I", "status": "inconclusive",
+                "method": {"bounded_search": lvl}, "certificate": cert}
+    return {"condition": "I", "status": "holds", "method": "exact", "certificate": cert}
+
+
+def test_condition_I_matches_monoid_reference():
+    verdicts = {}
+    for full in _small_towers():
+        counts = {t: _count_points_with_tset(full.monoid, t) for t in full.tsets}
+        for max_level in (64, 0, 1, 2, 3):
+            tw = build_tower(full.graph, max_level)
+            default = tw.top_level if tw.stabilized_at is None else tw.stabilized_at
+            got = condition_I(tw).to_json_dict()
+            assert got == _reference_condition_I(tw, default, counts), tw.graph
+            for lvl in range(tw.top_level + 1):
+                got = condition_I(tw, level=lvl).to_json_dict()
+                assert got == _reference_condition_I(tw, lvl, counts), (tw.graph, lvl)
+                verdicts[got["status"]] = verdicts.get(got["status"], 0) + 1
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 def _brute_covers(elements):
