@@ -37,7 +37,7 @@ from .errors import (
     InputFormatError,
     NotStabilized,
 )
-from .pastsets import _trim_to_live
+from .pastsets import _infinite_word_domains
 from .presentations import Graph, Word
 from .tower import Tower, refine
 
@@ -258,18 +258,6 @@ def condition_I(tw: Tower, level: Optional[int] = None) -> Verdict:
 # ---------------------------------------------------------------------------
 # condition (*): infinite word classes are realized by points
 # ---------------------------------------------------------------------------
-
-
-def _infinite_word_domains(table: dict[int, tuple[int, ...]]) -> set[int]:
-    """The states of the backward subset automaton ``table`` that infinitely
-    many words share: those reachable from one of its cycles.  Trimming to
-    the states that keep a predecessor inside the set leaves exactly them."""
-    into: dict[int, set[int]] = {s: set() for s in table}
-    for s, row in table.items():
-        for p in row:
-            if p:
-                into[p].add(s)
-    return _trim_to_live(set(table), into.__getitem__)
 
 
 def condition_star(tw: Tower) -> Verdict:

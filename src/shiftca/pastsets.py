@@ -10,12 +10,11 @@ a point; it is a function of T(x) alone, computed through predecessor sets:
 where Pre_u(t) applies the u-labeled edge relation backwards, one symbol at a
 time.  The sets Pre_w(V) and their one-symbol predecessors form the backward
 subset automaton, :func:`predecessor_table`, which the tower and the
-conditions read every Pre_a from.  The finitely many word relations R_u (u
-ranging over admissible words) form a monoid under composition; its
-left-to-right Cayley graph — nodes are distinct nonzero relations, the edge
-for symbol a maps R_u to R_{u·a} — decides which of those sets are realized
-T-sets; condition (I) reads only its size.  Each relation is stored as one int, column by column, and a Cayley edge costs the
-nonzero columns it reads, not the vertex count (see :class:`MonoidGraph`).
+conditions read every Pre_a from.  Which of its states are realized T-sets
+is decided on B itself, by a search over pairs of its states
+(:func:`point_tsets`).  The finitely many word relations R_u (u ranging
+over admissible words) form a monoid under composition; it is only counted
+(:class:`RelationMonoid`), and its size bounds B and that search.
 
 Whether and how often a T-set has a past word of a given length is read
 off the predecessor table (``Tower.past_counts``), and the words are
@@ -32,7 +31,7 @@ vertex v).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,30 +40,23 @@ from .presentations import Graph, Word, _union, past_words
 
 DEFAULT_MONOID_CAP = 1_000_000
 
-class MonoidGraph:
-    """Cayley graph of the word-relation monoid of a labeled graph.
+class RelationMonoid:
+    """The word-relation monoid of a labeled graph, counted.
 
-    node 0 is the identity relation (the empty word).  ``step[i][a]`` is the
-    node reached from node i by composing with symbol a on the right, or None
-    when the product is the zero relation.  Nodes are created in BFS order
-    from the identity, symbols in alphabet order, so numbering is canonical.
-    ``doms[i]`` is the domain of node i: the vertices its words leave from.
+    ``len()`` is the number of distinct nonzero relations R_u, the identity
+    included, found by a breadth-first search from the identity along the
+    Cayley edges R_u -> R_{u·a}; more than ``cap`` raise
+    :class:`MonoidBudgetExceeded`.  Only the count is kept.
 
-    ``nodes[i]`` packs the columns of node i's relation into one int of at
-    most n² bits: column x is the n bits from x·n on, and bit v of it says
-    the node's words lead from v to x.  Zero columns cost no work: a node is
-    expanded by reading its nonzero columns off the top of its key.  Column
-    x of R·a is the OR of R's columns w over the a-labeled edges w -> x, so
-    R·a is built from R's nonzero columns only: column w times a
-    precomputed int with one bit per a-edge w -> x, at x·n, puts a copy of
-    column w at each of its a-targets, one multiplication per nonzero column
-    and symbol.  For an SFT every relation but the identity has one nonzero
-    column, so a Cayley edge costs a fixed number of operations on ints of
-    at most n² bits, not n ORs and an n-tuple.
+    A relation is one int of at most n² bits: column x is the n bits from
+    x·n on, and bit v of it says the relation leads from v to x.  Column w
+    of R times an int with a bit at x·n per a-edge w -> x puts a copy of it
+    at each a-target, so R·a costs one multiplication per nonzero column of
+    R, read off the top of its key: one for every SFT relation but the
+    identity.
     """
 
     def __init__(self, g: Graph, cap: int = DEFAULT_MONOID_CAP):
-        self.graph = g
         n = g.n_vertices
         n_sym = len(g.alphabet)
         # per source w: a -> bit x·n for every a-edge w -> x
@@ -73,68 +65,27 @@ class MonoidGraph:
             puts[w][a] = puts[w].get(a, 0) | 1 << x * n
         spread = [list(put.items()) for put in puts]
         ident = sum(1 << (v * n + v) for v in range(n))
-        self.nodes: list[int] = [ident]
-        index = {ident: 0}
-        doms = []
-        self.step: list[list[Optional[int]]] = []
-        # BFS: nodes are expanded in creation order, so step rows are
-        # appended in node order
-        for key in self.nodes:
+        nodes = [ident]
+        seen = {ident}
+        for key in nodes:
             prods = [0] * n_sym
-            dom = 0
             while key:
                 x = (key.bit_length() - 1) // n
                 sh = x * n
                 col = key >> sh
                 key ^= col << sh
-                dom |= col
                 for a, put in spread[x]:
                     prods[a] |= col * put
-            doms.append(dom)
-            row: list[Optional[int]] = []
             for prod in prods:
-                if not prod:
-                    row.append(None)
-                    continue
-                j = index.get(prod)
-                if j is None:
-                    j = len(self.nodes)
-                    if j >= cap:
-                        raise MonoidBudgetExceeded(
-                            f"relation monoid exceeds cap {cap}"
-                        )
-                    index[prod] = j
-                    self.nodes.append(prod)
-                row.append(j)
-            self.step.append(row)
-        self.doms: tuple[int, ...] = tuple(doms)
+                if prod and prod not in seen:
+                    seen.add(prod)
+                    nodes.append(prod)
+            if len(nodes) > cap:
+                raise MonoidBudgetExceeded(f"relation monoid exceeds cap {cap}")
+        self.size = len(nodes)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def successors(self, i: int) -> Iterable[int]:
-        return (j for j in self.step[i] if j is not None)
-
-    @cached_property
-    def live_by_dom(self) -> dict[int, frozenset[int]]:
-        """Realized T-set -> its live nodes.
-
-        A candidate D (necessarily the domain of some reachable relation) is
-        realized by a point iff the subgraph of nodes with domain D still
-        contains a node after trimming to out-degree >= 1 inside the subgraph:
-        the trimmed survivors are exactly the relations from which some
-        infinite word keeps its domain pinned at D forever, and domains only
-        shrink along composition, so such a tail pins T(x) = D.
-        """
-        by_dom: dict[int, set[int]] = {}
-        for i, d in enumerate(self.doms):
-            by_dom.setdefault(d, set()).add(i)
-        out = {}
-        for d, nodes in by_dom.items():
-            live = _trim_to_live(nodes, self.successors)
-            if live:
-                out[d] = frozenset(live)
-        return out
+        return self.size
 
 
 def _trim_to_live(nodes: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
@@ -160,11 +111,6 @@ def _trim_to_live(nodes: Iterable[int], successors: Callable[[int], Iterable[int
     return {v for v, d in degree.items() if d}
 
 
-def realized_tsets(monoid: MonoidGraph) -> tuple[int, ...]:
-    """All vertex sets of the form T(x), sorted by bitmask value."""
-    return tuple(sorted(monoid.live_by_dom))
-
-
 def predecessor_table(g: Graph) -> dict[int, tuple[int, ...]]:
     """The backward subset automaton B: every nonempty Pre_w(V) -> its row
     (Pre_a of it, per symbol a, with 0 for the empty set).
@@ -182,6 +128,62 @@ def predecessor_table(g: Graph) -> dict[int, tuple[int, ...]]:
             row = table[s] = g.pre_row(s)
             work.extend(p for p in row if p and p not in table)
     return table
+
+
+def point_tsets(table: dict[int, tuple[int, ...]], full: int) -> tuple[int, ...]:
+    """The realized T-sets, the sets T(x) of the points x, ascending, read
+    off the backward subset automaton ``table`` with start state ``full``,
+    the vertex set V.
+
+    For a state D and a nonempty word z, T(z^∞) = D iff Pre_z(V) = D and
+    Pre_z(D) = D: then every Pre_{z^k}(V) is D, and conversely z = w^k
+    does for D = T(w^∞) and k large.  Every T(x) is Pre_u(T(y)) for a
+    periodic y (Ramsey's theorem on the relations of the factors of x), so
+    the realized T-sets are the Pre-closure of the D found.  Each candidate,
+    a state reachable from a cycle of B and not yet in the closure, in
+    ascending order, is decided by searching the pairs (Pre_z V, Pre_z D)
+    from (V, D) for (D, D); not every state on a cycle is such a D.  A pair
+    is a function of R_z, so one search visits at most as many pairs as the
+    relation monoid has nodes, and counting the monoid first, under its
+    cap, bounds every search.
+    """
+    found: set[int] = set()
+    for d in sorted(_infinite_word_domains(table)):
+        if d not in found and (d, d) in _pairs(table, full, d):
+            work = [d]
+            while work:
+                s = work.pop()
+                if s not in found:
+                    found.add(s)
+                    work.extend(p for p in table[s] if p)
+    return tuple(sorted(found))
+
+
+def _pairs(table: dict[int, tuple[int, ...]], full: int, d: int) -> Iterator[tuple[int, int]]:
+    """The pairs (Pre_z V, Pre_z d) over the nonempty words z with Pre_z d
+    nonempty, each once, V being ``full``."""
+    seen = set()
+    work = [(full, d)]
+    while work:
+        p, q = work.pop()
+        # q ⊆ p, so a nonempty Pre_a q has a nonempty Pre_a p
+        for pair in zip(table[p], table[q]):
+            if pair[1] and pair not in seen:
+                seen.add(pair)
+                yield pair
+                work.append(pair)
+
+
+def _infinite_word_domains(table: dict[int, tuple[int, ...]]) -> set[int]:
+    """The states of the backward subset automaton ``table`` that infinitely
+    many words share: those reachable from one of its cycles.  Trimming to
+    the states that keep a predecessor inside the set leaves exactly them."""
+    into: dict[int, set[int]] = {s: set() for s in table}
+    for s, row in table.items():
+        for p in row:
+            if p:
+                into[p].add(s)
+    return _trim_to_live(set(table), into.__getitem__)
 
 
 #: State of every inadmissible word: the empty vertex set.

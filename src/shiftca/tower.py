@@ -65,10 +65,10 @@ from .errors import IllDefinedTransition, InputFormatError
 from .intlinalg import IntMatrix
 from .pastsets import (
     DEFAULT_MONOID_CAP,
-    MonoidGraph,
+    RelationMonoid,
     SubsetAutomaton,
+    point_tsets,
     predecessor_table,
-    realized_tsets,
 )
 from .presentations import Graph, Presentation, to_labeled_graph
 
@@ -100,18 +100,21 @@ class TowerLevel:
 class Tower:
     """Refinement tower over the realized T-sets of a labeled graph.
 
+    The T-sets are read off ``pre``, the backward subset automaton.  Only
+    the size of ``monoid``, the counted relation monoid, is read.
+
     Levels are built lazily; :func:`build_tower` constructs one and
     :meth:`ensure_level` deepens it in place (partitions beyond stabilization
     repeat, but pasts keep growing, so deeper levels are still materialized
     on demand for the filtration maps)."""
 
-    def __init__(self, graph: Graph, monoid: MonoidGraph):
+    def __init__(self, graph: Graph, monoid: RelationMonoid):
         self.graph = graph
         self.monoid = monoid
-        self.tsets: tuple[int, ...] = realized_tsets(monoid)
         # Pre_a of every state of the backward subset automaton, realized
         # T-sets among them
         self.pre = predecessor_table(graph)
+        self.tsets: tuple[int, ...] = point_tsets(self.pre, graph.full_mask)
         self.automaton = SubsetAutomaton(graph)
         self.levels: list[TowerLevel] = []
         self.stabilized_at: Optional[int] = None
@@ -125,6 +128,8 @@ class Tower:
         k.  Pre_{u·a}(t) = Pre_u(Pre_a t), and Pre_a of a realized T-set is
         realized or empty, so N_k follows from N_{k-1} on the realized
         T-sets alone; the table grows to k on demand."""
+        if k < 0:
+            raise InputFormatError(f"word length must be nonnegative, got {k}")
         counts = self._counts
         while len(counts) <= k:
             prev = counts[-1]
@@ -135,6 +140,8 @@ class Tower:
 
     def count_words(self, tset: int, level: int) -> int:
         """|P_level(tset)|: the past words of ``tset`` of length <= level."""
+        if level < 0:
+            raise InputFormatError(f"level must be nonnegative, got {level}")
         return sum(self.past_counts(k)[tset] for k in range(level + 1))
 
     # -- construction ------------------------------------------------------
@@ -280,7 +287,7 @@ def build_tower(
     if monoid_cap < 1:
         raise InputFormatError(f"monoid_cap must be at least 1, got {monoid_cap}")
     g = source if isinstance(source, Graph) else to_labeled_graph(source)
-    tw = Tower(g, MonoidGraph(g, monoid_cap))
+    tw = Tower(g, RelationMonoid(g, monoid_cap))
     while tw.stabilized_at is None and tw.top_level < max_level:
         tw.ensure_level(tw.top_level + 1)
     return tw

@@ -27,9 +27,11 @@ from shiftca.errors import (
     InputFormatError,
     NotStabilized,
 )
-from shiftca.pastsets import MonoidGraph, _trim_to_live
+from shiftca.pastsets import _trim_to_live
 from shiftca.presentations import Presentation
 from shiftca.tower import build_tower
+
+from monoid_reference import MonoidGraph
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
 EVEN = Presentation.labeled_graph(
@@ -548,7 +550,8 @@ def test_point_counts_match_per_tset_reference():
     # witness against the clamped sum over its members on the monoid
     compared = unique = identity_in_s = looped_identity = 0
     for tw in _small_towers():
-        monoid = tw.monoid
+        monoid = MonoidGraph(tw.graph)
+        assert len(monoid) == len(tw.monoid)
         stable, _ = _refine_to_fixpoint(tw.tsets, [tw.tsets], tw.pre)
         forced = _one_point_classes(_class_rows(tw, stable))
         members: dict[int, list[int]] = {}
@@ -597,7 +600,8 @@ def _reference_condition_I(tw, lvl, counts):
 def test_condition_I_matches_monoid_reference():
     verdicts = {}
     for full in _small_towers():
-        counts = {t: _count_points_with_tset(full.monoid, t) for t in full.tsets}
+        monoid = MonoidGraph(full.graph)
+        counts = {t: _count_points_with_tset(monoid, t) for t in full.tsets}
         for max_level in (64, 0, 1, 2, 3):
             tw = build_tower(full.graph, max_level)
             default = tw.top_level if tw.stabilized_at is None else tw.stabilized_at

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftca.cli import main
-from shiftca.conditions import _infinite_word_domains
 from shiftca.errors import EmptyShift, MonoidBudgetExceeded, WordNotInLanguage
 from shiftca.pastsets import (
-    MonoidGraph,
+    RelationMonoid,
+    _infinite_word_domains,
+    _pairs,
     _trim_to_live,
     point_past_set,
+    point_tsets,
     predecessor_table,
-    realized_tsets,
     word_past_set,
 )
 from shiftca.presentations import (
@@ -31,6 +32,8 @@ from shiftca.presentations import (
     to_labeled_graph,
 )
 from shiftca.tower import build_tower
+
+from monoid_reference import MonoidGraph, realized_tsets
 
 GOLDEN = Presentation.sft(("0", "1"), ((1, 1), (1, 0)))
 EVEN = Presentation.labeled_graph(
@@ -92,14 +95,16 @@ def test_word_past_matches_language_membership():
 
 
 def test_monoid_sizes():
-    assert len(MonoidGraph(to_labeled_graph(GOLDEN))) == 5
-    assert len(MonoidGraph(to_labeled_graph(EVEN))) == 6
-    assert len(MonoidGraph(to_labeled_graph(POINT))) == 1
+    for p, size in ((GOLDEN, 5), (EVEN, 6), (POINT, 1)):
+        g = to_labeled_graph(p)
+        assert len(RelationMonoid(g)) == len(MonoidGraph(g)) == size
 
 
 def test_realized_tsets():
-    assert realized_tsets(MonoidGraph(to_labeled_graph(GOLDEN))) == (1, 3)
-    assert realized_tsets(MonoidGraph(to_labeled_graph(EVEN))) == (1, 2, 3)
+    for p, tsets in ((GOLDEN, (1, 3)), (EVEN, (1, 2, 3))):
+        g = to_labeled_graph(p)
+        assert point_tsets(predecessor_table(g), g.full_mask) == tsets
+        assert realized_tsets(MonoidGraph(g)) == tsets
 
 
 def test_monoid_word_lookup():
@@ -396,7 +401,7 @@ def test_columnwise_monoid_matches_rowwise_reference():
         except EmptyShift:
             continue
         got, want = MonoidGraph(g), _RowwiseMonoid(g)
-        assert len(got) == len(want)
+        assert len(RelationMonoid(g)) == len(got) == len(want)
         assert got.step == want.step
         assert got.doms == want.doms
         rows = [_relation_rows(got, i) for i in range(len(got))]
@@ -430,11 +435,11 @@ def test_monoid_cap_boundary(name, tmp_path, capsys):
     p = _CAP_BOUNDARY[name]
     g = to_labeled_graph(p)
     m = MonoidGraph(g)
-    at = MonoidGraph(g, cap=len(m))
-    assert (at.nodes, at.step, at.doms) == (m.nodes, m.step, m.doms)
+    assert len(RelationMonoid(g, cap=len(m))) == len(m)
     with pytest.raises(MonoidBudgetExceeded):
-        MonoidGraph(g, cap=len(m) - 1)
-    assert build_tower(p, monoid_cap=len(m)).monoid.step == m.step
+        RelationMonoid(g, cap=len(m) - 1)
+    tw = build_tower(p, monoid_cap=len(m))
+    assert (len(tw.monoid), tw.tsets) == (len(m), realized_tsets(m))
     with pytest.raises(MonoidBudgetExceeded):
         build_tower(p, monoid_cap=len(m) - 1)
     path = tmp_path / f"{name}.json"
@@ -477,3 +482,103 @@ def test_trim_to_live_matches_rescans():
             assert _trim_to_live(group, m.successors) == _trim_by_rescans(
                 group, m.successors
             )
+
+
+# The realized T-sets of ``point_tsets``, a pair search on the backward
+# subset automaton B, against the per-domain trim of the reference monoid.
+
+
+def _periodic_tsets(m: MonoidGraph) -> set[int]:
+    """The sets T(z^∞) over the nonempty words z, off the reference monoid:
+    the domains D of the nodes R_z that some symbol reaches, whose columns
+    in D cover D again (Pre_z D = D)."""
+    n = m.graph.n_vertices
+    full = (1 << n) - 1
+    out = set()
+    for i in {j for i in range(len(m)) for j in m.successors(i)}:
+        d = m.doms[i]
+        into = 0
+        for x in range(n):
+            if d >> x & 1:
+                into |= m.nodes[i] >> x * n & full
+        if into == d:
+            out.add(d)
+    return out
+
+
+def _on_a_cycle(table, d) -> bool:
+    """``d`` is reached again from one of its successors in ``table``."""
+    seen = set()
+    work = [p for p in table[d] if p]
+    while work:
+        s = work.pop()
+        if s == d:
+            return True
+        if s not in seen:
+            seen.add(s)
+            work.extend(p for p in table[s] if p)
+    return False
+
+
+def _pair_search_corpus():
+    """3 400 seeded random labeled graphs with 2 to 7 vertices and 1 to 3
+    symbols, then the monoid corpus."""
+    rng = random.Random(24_2024)
+    for _ in range(3400):
+        nv, ns = rng.randint(2, 7), rng.randint(1, 3)
+        syms = "abc"[:ns]
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice(syms))
+            for _ in range(rng.randint(1, 3 * nv))
+        }
+        yield Presentation.labeled_graph(tuple(syms), nv, sorted(edges))
+    yield from _monoid_corpus()
+
+
+def test_point_tsets_match_monoid_reference():
+    # every state d of B: the search from (V, d) reaches (d, d) iff d is
+    # T(z^∞) for a nonempty z, within the monoid's size in pairs
+    graphs = over_cap = unrealized = searched = 0
+    for p in _pair_search_corpus():
+        try:
+            g = to_labeled_graph(p)
+            m = MonoidGraph(g, cap=5000)
+        except EmptyShift:
+            continue
+        except MonoidBudgetExceeded:
+            over_cap += 1
+            continue
+        tw = build_tower(g, max_level=0)
+        assert tw.tsets == realized_tsets(m), p
+        assert len(tw.monoid) == len(m)
+        table = tw.pre
+        periodic = _periodic_tsets(m)
+        for d in table:
+            pairs = list(_pairs(table, g.full_mask, d))
+            assert len(pairs) == len(set(pairs)) <= len(m)
+            assert ((d, d) in pairs) == (d in periodic), (p, d)
+            searched += 1
+        unrealized += any(
+            _on_a_cycle(table, d) and d not in tw.tsets for d in table
+        )
+        graphs += 1
+    assert graphs > 3000 and over_cap < 10 and searched > 13_000
+    assert unrealized >= 4
+
+
+# B's state {0, 3} lies on a cycle, and it is no T(x)
+UNREALIZED_CYCLE_STATE = Presentation.labeled_graph(
+    ("a", "b", "c"),
+    5,
+    [(0, 0, "c"), (0, 2, "a"), (0, 4, "b"), (1, 1, "c"), (2, 0, "a"),
+     (3, 1, "a"), (3, 3, "c"), (4, 1, "a")],
+)
+
+
+def test_cycle_state_of_b_need_not_be_realized():
+    g = to_labeled_graph(UNREALIZED_CYCLE_STATE)
+    tw = build_tower(g, max_level=0)
+    assert tw.tsets == realized_tsets(MonoidGraph(g))
+    cycle = {d for d in tw.pre if _on_a_cycle(tw.pre, d)}
+    assert cycle - set(tw.tsets) == {0b1001}
+    assert cycle <= _infinite_word_domains(tw.pre)

@@ -381,6 +381,18 @@ def test_past_layers_have_the_past_counts():
     assert checked > 400
 
 
+def test_negative_word_lengths_raise_input_format_error():
+    tw = build_tower(GOLDEN)
+    assert tw.past_counts(3) == {1: 3, 3: 5}
+    with pytest.raises(InputFormatError):
+        tw.past_counts(-1)
+    with pytest.raises(InputFormatError):
+        tw.count_words(3, -2)
+    with pytest.raises(InputFormatError):
+        tw.ensure_level(-1)
+    assert tw.count_words(3, 0) == 1
+
+
 def test_filtration_bounds_checked():
     tw = build_tower(GOLDEN)
     with pytest.raises(InputFormatError):
