@@ -14,8 +14,10 @@ unique, so the two routes below give identical results.
   exceeds ``MODULAR_MIN_BITS`` bits (Domich-Kannan-Trotter 1987;
   Abbott-Bronstein-Mulders 1999).  One batched numpy ``int64`` elimination
   of ``[M | B]``, with B a few fixed pseudo-random columns, modulo enough
-  primes below 2^31 to cover the Hadamard bounds gives D = det M and
-  Y = adj(M) B by Chinese remaindering.  h = gcd(D, Y) is a multiple of
+  primes below 2^26 to cover the Hadamard bounds gives D = det M and
+  Y = adj(M) B by Chinese remaindering.  A product of two residues stays
+  below 2^52, so the elimination reduces an entry only when it reads it,
+  and the whole block once per 2^10 steps.  h = gcd(D, Y) is a multiple of
   s_1 ... s_(n-1), the product of all invariant factors but the last, so
   s_i = gcd(d_i, h) for i < n, where d is the elimination of M with every
   entry kept reduced modulo h, and s_n = |D| / (s_1 ... s_(n-1)).  When
@@ -35,13 +37,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 #: Square matrices whose Hadamard bound has more bits than this take the
-#: modular route.  On random I - A the two routes break even near 80-87 bits
-#: (n = 38-40), at about 4 ms each on 2 vCPUs.
-MODULAR_MIN_BITS = 80
+#: modular route.  On random I - A the two routes break even near 64 bits
+#: (n = 32), at about 1.7 ms each on 2 vCPUs.
+MODULAR_MIN_BITS = 64
 # columns of the random projection B; more columns make h = s_1 ... s_(n-1)
 # likelier, fewer make Y cheaper
 _PROJECTION_COLS = 4
-_PRIME_BITS = 31
+_PRIME_BITS = 26
+# the elimination subtracts products of two entries below 2^_PRIME_BITS
+# unreduced; this many of them stay within int64
+_REDUCE_EVERY = (1 << 62) >> (2 * _PRIME_BITS)
 
 
 @dataclass(frozen=True)
@@ -266,8 +271,8 @@ def _is_word_prime(q: int) -> bool:
 
 
 def _word_primes() -> Iterator[int]:
-    """The primes below 2^31, largest first.  Callers take a few dozen of
-    the 5 * 10^7 that exceed 2^30, so every prime they see does."""
+    """The primes below 2^26, largest first.  Callers take a few dozen
+    of the 1.9 * 10^6 that exceed 2^25, so every prime they see does."""
     q = (1 << _PRIME_BITS) - 1
     while True:
         if _is_word_prime(q):
@@ -281,16 +286,21 @@ def _det_and_projection(
     """det M and adj(M) B modulo each prime, for w = [M | B] with n rows.
 
     One Gaussian elimination per prime, batched along the first axis; the
-    pivot is the first nonzero entry of the column.  Returns the
-    determinants (k,) and the projections (k, n, cols); a prime that
+    pivot is the first nonzero entry of the column.  Entries are reduced
+    only where a step reads them: column t before its pivot search, row t
+    before it is scaled and x_i before it is used.  Each update in between
+    subtracts a product of two reduced entries, below 2^(2 * _PRIME_BITS),
+    so the whole block is reduced every ``_REDUCE_EVERY`` steps.  Returns
+    the determinants (k,) and the projections (k, n, cols); a prime that
     divides det M has determinant 0 and a meaningless projection.
     """
     p = np.array(primes, dtype=np.int64)
-    p3 = p[:, None, None]
+    p2, p3 = p[:, None], p[:, None, None]
     w = (w[None] % np.array(primes, dtype=w.dtype)[:, None, None]).astype(np.int64)
     batch = np.arange(len(primes))
     det = np.ones(len(primes), dtype=np.int64)
     for t in range(n):
+        w[:, t:, t] %= p2
         offset = (w[:, t:, t] != 0).argmax(axis=1)
         piv = w[batch, t + offset, t]
         if offset.any():
@@ -303,16 +313,18 @@ def _det_and_projection(
         inv = np.array([pow(x, -1, q) for x, q in zip(piv.tolist(), primes)],
                        dtype=np.int64)
         # row t scaled to a unit pivot; rows below lose their column t entry
-        w[:, t, t + 1:] = w[:, t, t + 1:] * inv[:, None] % p[:, None]
-        f = w[:, t + 1:, t, None]
-        w[:, t + 1:, t + 1:] -= f * w[:, t, None, t + 1:]
-        w[:, t + 1:, t + 1:] %= p3
+        w[:, t, t + 1:] = w[:, t, t + 1:] % p2 * inv[:, None] % p2
+        w[:, t + 1:, t + 1:] -= w[:, t + 1:, t, None] * w[:, t, None, t + 1:]
+        if (t + 1) % _REDUCE_EVERY == 0:
+            w[:, t + 1:, t + 1:] %= p3
     # back substitution on the unit upper triangle: x = M^-1 B, then D x
     x = w[:, :, n:]
     for i in range(n - 1, 0, -1):
+        x[:, i] %= p2
         x[:, :i] -= w[:, :i, i, None] * x[:, i, None, :]
-        x[:, :i] %= p3
-    return det, x * det[:, None, None] % p3
+        if (n - i) % _REDUCE_EVERY == 0:
+            x[:, :i] %= p3
+    return det, x % p3 * det[:, None, None] % p3
 
 
 def _crt(residues: Sequence[int], coeffs: Sequence[int], modulus: int) -> int:
@@ -339,7 +351,7 @@ def _modular_factors(m: IntMatrix) -> tuple[int, ...] | None:
     b_sq = max(sum(row[j] ** 2 for row in b) for j in range(_PROJECTION_COLS))
     y_sq = -(-prod(col_sq) * b_sq // min(col_sq))
     limit = 4 * max(det_sq, y_sq)  # the modulus must exceed twice either bound
-    # distinct primes above 2^30 dividing a nonzero |D| < 2^e: at most e // 30
+    # distinct primes above 2^25 dividing a nonzero |D| < 2^e: at most e // 25
     zero_cap = (det_sq.bit_length() + 1) // 2 // (_PRIME_BITS - 1)
     rows = [list(row) + bs for row, bs in zip(m.rows, b)]
     try:
@@ -352,7 +364,7 @@ def _modular_factors(m: IntMatrix) -> tuple[int, ...] | None:
     ys: list[np.ndarray] = []
     modulus, zeros = 1, 0
     while modulus * modulus <= limit:
-        # each prime, above 2^30.5, adds at least 61 bits to modulus^2
+        # each prime, above 2^25.5, adds at least 51 bits to modulus^2
         short = limit.bit_length() + 1 - (modulus * modulus).bit_length()
         batch = list(islice(primes, -(-short // (2 * _PRIME_BITS - 1))))
         det, y = _det_and_projection(a, n, batch)

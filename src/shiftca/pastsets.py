@@ -68,20 +68,31 @@ class RelationMonoid:
         nodes = [ident]
         seen = {ident}
         for key in nodes:
+            if len(nodes) > cap:
+                raise MonoidBudgetExceeded(f"relation monoid exceeds cap {cap}")
+            x = (key.bit_length() - 1) // n
+            col = key >> x * n
+            key ^= col << x * n
+            if not key:  # one nonzero column: R·a is col times a's put
+                for _, put in spread[x]:
+                    prod = col * put
+                    if prod not in seen:
+                        seen.add(prod)
+                        nodes.append(prod)
+                continue
             prods = [0] * n_sym
+            for a, put in spread[x]:
+                prods[a] = col * put
             while key:
                 x = (key.bit_length() - 1) // n
-                sh = x * n
-                col = key >> sh
-                key ^= col << sh
+                col = key >> x * n
+                key ^= col << x * n
                 for a, put in spread[x]:
                     prods[a] |= col * put
             for prod in prods:
                 if prod and prod not in seen:
                     seen.add(prod)
                     nodes.append(prod)
-            if len(nodes) > cap:
-                raise MonoidBudgetExceeded(f"relation monoid exceeds cap {cap}")
         self.size = len(nodes)
 
     def __len__(self) -> int:

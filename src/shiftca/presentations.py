@@ -70,17 +70,20 @@ def zero_one_rows(
     """The rows of an n x n matrix whose entries are the integers 0 and 1.
 
     Raises InputFormatError for a wrong shape or any other entry, booleans
-    included (JSON ``true`` is not a matrix entry).
+    and floats included (JSON ``true`` and ``1.0`` are not matrix entries).
     """
     if len(matrix) != n:
         raise InputFormatError(f"matrix has {len(matrix)} rows for {n} symbols")
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise InputFormatError(f"matrix row {i} has length {len(row)}")
-        for x in row:
-            if isinstance(x, bool) or x not in (0, 1):
-                raise InputFormatError(f"matrix entries must be 0 or 1, found {x!r}")
-    return tuple(tuple(int(x) for x in row) for row in matrix)
+    # one C-level pass over the types, then one over the values; the loop
+    # only names the entry
+    entries = list(chain.from_iterable(matrix))
+    if set(map(type, entries)) - {int} or set(entries) - {0, 1}:
+        bad = next(x for x in entries if type(x) is not int or x not in (0, 1))
+        raise InputFormatError(f"matrix entries must be 0 or 1, found {bad!r}")
+    return tuple(map(tuple, matrix))
 
 
 @dataclass(frozen=True)

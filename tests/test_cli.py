@@ -293,6 +293,8 @@ MALFORMED = {
     "forbidden_null": _doc("forbidden_words", forbidden=[None]),
     "matrix_of_ints": _doc("sft", matrix=[5, 6]),
     "matrix_of_bools": _doc("sft", matrix=[[True, True], [True, False]]),
+    "matrix_float_one": _doc("sft", matrix=[[1.0, 1], [1, 0]]),
+    "matrix_float_zero": _doc("sft", matrix=[[1, 1], [1, 0.0]]),
     "label_list": _doc("labeled_graph", vertices=1, edges=[_edge(0, 0, ["0"])]),
     "vertices_bool": _doc("labeled_graph", vertices=True, edges=[_edge(0, 0, "0")]),
     "endpoint_bool": _doc("labeled_graph", vertices=1, edges=[_edge(False, False, "0")]),

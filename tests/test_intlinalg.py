@@ -18,13 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftca import intlinalg
 from shiftca.intlinalg import (
+    _PRIME_BITS,
+    _REDUCE_EVERY,
     MODULAR_MIN_BITS,
     AbelianGroup,
     IntMatrix,
     SmithForm,
     _eliminate,
     _modular_factors,
+    _word_primes,
     cokernel,
     kernel,
     smith_form,
@@ -301,7 +305,7 @@ def test_invariant_factors_multiply_to_determinant(rows):
 
 # -- the modular route ---------------------------------------------------------
 
-FIRST_PRIME = (1 << 31) - 1  # the first prime the modular route reduces by
+FIRST_PRIME = next(_word_primes())  # the first prime the modular route reduces by
 
 
 def unimodular(rng, n, mag):
@@ -346,8 +350,8 @@ def test_modular_route_on_random_i_minus_a():
     assert second_last == [2, 1, 1, 2]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 20])
-def test_modular_route_on_known_factors(n):
+def known_factor_cases(n):
+    """(U D V, the invariant factors of D) for seeded unimodular U and V."""
     rng = random.Random(70 + n)
     ones, p = [1] * n, FIRST_PRIME
     cases = [
@@ -360,12 +364,37 @@ def test_modular_route_on_known_factors(n):
     ]
     for entries, torsion in cases:
         u, v = unimodular(rng, n, 10 ** 6), unimodular(rng, n, 10 ** 6)
-        m = u @ diagonal(entries) @ v
+        yield u @ diagonal(entries) @ v, (1,) * (n - len(torsion)) + torsion
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 20])
+def test_modular_route_on_known_factors(n):
+    for m, want in known_factor_cases(n):
         assert hadamard_bits(m) > MODULAR_MIN_BITS
-        want = (1,) * (n - len(torsion)) + torsion
         assert assert_modular_route(m) == want
         if n <= 5:
             assert determinantal_invariant_factors(m) == want
+
+
+def test_delayed_reduction_stays_within_int64():
+    # entries start below the prime and lose at most _REDUCE_EVERY products
+    # of two residues before the next reduction of the whole block
+    assert FIRST_PRIME < 1 << _PRIME_BITS
+    largest = ((1 << _PRIME_BITS) - 1) ** 2
+    assert _REDUCE_EVERY * largest + (1 << _PRIME_BITS) < 1 << 63
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_periodic_reduction_keeps_the_factors(every, monkeypatch):
+    # reducing the whole block every step or every third step runs the
+    # periodic reduction of both the elimination and the back substitution
+    monkeypatch.setattr(intlinalg, "_REDUCE_EVERY", every)
+    rng = random.Random(1)
+    for n in (40, 55, 70, 90):
+        assert_modular_route(i_minus_a(rng, n))
+    for n in (2, 5, 20):
+        for m, want in known_factor_cases(n):
+            assert assert_modular_route(m) == want
 
 
 def test_modular_route_on_entries_beyond_64_bits():

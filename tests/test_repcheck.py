@@ -146,7 +146,8 @@ def test_ck_relations_need_a_matrix():
 def test_ck_relations_refuse_a_malformed_matrix():
     # the validator Presentation.sft uses: booleans are not 0-1 entries
     rep = build_truncation(GOLDEN, 3)
-    for matrix in ([[True, True], [True, False]], [[1, 1], [1, 2]], [[1, 1]]):
+    for matrix in ([[True, True], [True, False]], [[1.0, 1], [1, 0]],
+                   [[1, 1], [1, 0.0]], [[1, 1], [1, 2]], [[1, 1]]):
         with pytest.raises(InputFormatError):
             check_ck_relations(rep, matrix=matrix)
 
