@@ -282,18 +282,18 @@ def condition_star(tw: Tower) -> Verdict:
     """
     table = tw.pre
     flagged = sorted(_infinite_word_domains(table))
-    realized = set(tw.tsets)
     block, fixpoint_level = _refine_to_fixpoint(table, [list(table)], table)
+    least = {block[t]: t for t in reversed(tw.tsets)}  # least T-set per block
 
     matches = []
     failing = None
     for d in flagged:
-        mates = sorted(t for t in realized if block[t] == block[d])
-        if mates:
+        mate = least.get(block[d])
+        if mate is not None:
             matches.append(
                 {
                     "word_class_dom": _vertex_names(tw, d),
-                    "point_tset": _vertex_names(tw, mates[0]),
+                    "point_tset": _vertex_names(tw, mate),
                 }
             )
         elif failing is None:

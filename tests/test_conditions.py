@@ -13,6 +13,7 @@ from shiftca.conditions import (
     _recheck_sole_point,
     _refine_to_fixpoint,
     _sole_point,
+    _vertex_names,
     aperiodic_past,
     condition_I,
     condition_star,
@@ -27,7 +28,7 @@ from shiftca.errors import (
     InputFormatError,
     NotStabilized,
 )
-from shiftca.pastsets import _trim_to_live
+from shiftca.pastsets import _infinite_word_domains, _trim_to_live
 from shiftca.presentations import Presentation
 from shiftca.tower import build_tower
 
@@ -219,6 +220,71 @@ def test_condition_star_reads_no_monoid():
         want = condition_star(tw).to_json_dict()
         tw.monoid = _PoisonedMonoid()
         assert condition_star(tw).to_json_dict() == want
+
+
+def _star_by_scan(tw):
+    """Reference for :func:`condition_star`: each flagged state scans every
+    realized T-set for one in its block, O(|flagged| * |T-sets|)."""
+    table = tw.pre
+    flagged = sorted(_infinite_word_domains(table))
+    realized = set(tw.tsets)
+    block, fixpoint_level = _refine_to_fixpoint(table, [list(table)], table)
+    matches, failing = [], None
+    for d in flagged:
+        mates = sorted(t for t in realized if block[t] == block[d])
+        if mates:
+            matches.append(
+                {
+                    "word_class_dom": _vertex_names(tw, d),
+                    "point_tset": _vertex_names(tw, mates[0]),
+                }
+            )
+        elif failing is None:
+            failing = d
+    bound = None if tw.stabilized_at is not None else fixpoint_level
+    if failing is not None:
+        cert = {"level": fixpoint_level, "word_class_dom": _vertex_names(tw, failing)}
+        return Verdict("star", "fails", bound, cert)
+    cert = {
+        "joint_fixpoint_level": fixpoint_level,
+        "infinite_word_classes": len(flagged),
+        "matches": matches,
+    }
+    return Verdict("star", "holds", bound, cert)
+
+
+def _reversed_kth_from_end(k):
+    """The "k-th symbol from the end is 1" graph with every edge reversed:
+    its backward subset automaton has 2^k states, all of them realized."""
+    edges = [(0, 0, "0"), (0, 0, "1"), (0, 1, "1")]
+    edges += [(i, i + 1, s) for i in range(1, k) for s in "01"]
+    edges += [(k, 0, s) for s in "01"]
+    return Presentation.labeled_graph(("0", "1"), k + 1, [(b, a, s) for a, b, s in edges])
+
+
+def test_condition_star_matches_the_scan():
+    towers = [build_tower(p, max_level=m) for p, m in MONOID_FREE_TOWERS]
+    rng = random.Random(11)
+    for _ in range(3000):
+        nv, ns = rng.randint(2, 6), rng.randint(2, 3)
+        syms = "abc"[:ns]
+        edges = {
+            (rng.randrange(nv), rng.randrange(nv), rng.choice(syms))
+            for _ in range(rng.randint(nv, 3 * nv))
+        }
+        try:
+            towers.append(build_tower(Presentation.labeled_graph(syms, nv, sorted(edges))))
+        except EmptyShift:
+            continue
+    rev12 = build_tower(_reversed_kth_from_end(12))
+    assert len(rev12.tsets) == 2**12
+    statuses = []
+    for tw in towers + [rev12]:
+        want = _star_by_scan(tw).to_json_dict()
+        assert condition_star(tw).to_json_dict() == want
+        statuses.append(want["status"])
+    # the corpus reaches FAILS beyond STAR_FAILS
+    assert statuses.count("fails") > 1
 
 
 def test_condition_I_reads_only_the_monoid_size():
