@@ -35,14 +35,13 @@ from .conditions import (
     ideal_lattice,
     irreducible_past,
 )
-from .errors import InputFormatError, ShiftSpaceError, WordBudgetExceeded
+from .errors import BudgetError, InputFormatError, ShiftSpaceError, WordBudgetExceeded
 from .invariants import (
     bowen_franks,
     ck_oracle,
     dimension_group,
     k_groups,
 )
-from .pastsets import DEFAULT_MONOID_CAP
 from .presentations import Presentation, past_layers, past_words
 from .repcheck import (
     DEFAULT_WORD_BUDGET,
@@ -79,25 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``shiftca`` argument parser, built once per process: parsing
     leaves it unchanged, and building it costs more than most commands on
     small inputs."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each command takes the options it reads: the tower commands a level
+    # budget, and the two that print APPROXIMATE a way to accept it
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument(
         "-i", "--input", required=True, help="presentation JSON file, or - for stdin"
     )
-    common.add_argument(
+    base.add_argument("--json", action="store_true", help="machine-readable report")
+    tower = argparse.ArgumentParser(add_help=False, parents=[base])
+    tower.add_argument(
         "-l",
         "--max-level",
         type=int,
         default=DEFAULT_MAX_LEVEL,
         help="deepest refinement level to try (default %(default)s)",
     )
-    common.add_argument(
-        "--monoid-cap",
-        type=int,
-        default=DEFAULT_MONOID_CAP,
-        help="largest relation monoid to enumerate (default %(default)s)",
-    )
-    common.add_argument("--json", action="store_true", help="machine-readable report")
-    common.add_argument(
+    partial = argparse.ArgumentParser(add_help=False, parents=[tower])
+    partial.add_argument(
         "--allow-partial",
         action="store_true",
         help="exit 0 even when only an approximate (unstabilized) result exists",
@@ -106,16 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftca", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("classes", parents=[common]).set_defaults(func=cmd_classes)
-    sub.add_parser("kgroups", parents=[common]).set_defaults(func=cmd_kgroups)
+    sub.add_parser("classes", parents=[partial]).set_defaults(func=cmd_classes)
+    sub.add_parser("kgroups", parents=[partial]).set_defaults(func=cmd_kgroups)
 
-    dg = sub.add_parser("dimension-group", parents=[common])
+    dg = sub.add_parser("dimension-group", parents=[tower])
     dg.add_argument("--k-max", type=int, default=3, help="deepest filtration stage")
     dg.set_defaults(func=cmd_dimension_group)
 
-    sub.add_parser("bf", parents=[common]).set_defaults(func=cmd_bf)
+    sub.add_parser("bf", parents=[base]).set_defaults(func=cmd_bf)
 
-    chk = sub.add_parser("check", parents=[common])
+    chk = sub.add_parser("check", parents=[tower])
     chk.add_argument(
         "--condition",
         required=True,
@@ -124,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.set_defaults(func=cmd_check)
 
-    sub.add_parser("ideals", parents=[common]).set_defaults(func=cmd_ideals)
+    sub.add_parser("ideals", parents=[tower]).set_defaults(func=cmd_ideals)
 
-    rc = sub.add_parser("repcheck", parents=[common])
+    rc = sub.add_parser("repcheck", parents=[base])
     rc.add_argument(
         "--depth",
         type=int,
@@ -141,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rc.set_defaults(func=cmd_repcheck)
 
-    sub.add_parser("oracle-ck", parents=[common]).set_defaults(func=cmd_oracle_ck)
+    sub.add_parser("oracle-ck", parents=[base]).set_defaults(func=cmd_oracle_ck)
     return parser
 
 
@@ -229,7 +226,7 @@ def tower_dump(tw: Tower) -> dict:
 
 
 def _tower(args) -> Tower:
-    return build_tower(_load(args), max_level=args.max_level, monoid_cap=args.monoid_cap)
+    return build_tower(_load(args), max_level=args.max_level)
 
 
 def cmd_classes(args) -> int:
@@ -274,6 +271,12 @@ def cmd_kgroups(args) -> int:
 
 
 def cmd_dimension_group(args) -> int:
+    # stage k_max reads level k_max + 2 or deeper; negatives are input errors
+    if min(args.k_max, args.max_level) >= 0 and args.k_max + 2 > args.max_level:
+        raise BudgetError(
+            f"--k-max {args.k_max} reads level {args.k_max + 2}, "
+            f"past --max-level {args.max_level}"
+        )
     tw = _tower(args)
     rep = dimension_group(tw, k_max=args.k_max)  # NotStabilized -> exit 2
     if args.json:

@@ -31,12 +31,12 @@ vertex v).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import MonoidBudgetExceeded, WordNotInLanguage
-from .presentations import Graph, Word, _union, past_words
+from .presentations import Graph, Word, _trim_to_live, _union, past_words
 
 DEFAULT_MONOID_CAP = 1_000_000
 
@@ -97,29 +97,6 @@ class RelationMonoid:
 
     def __len__(self) -> int:
         return self.size
-
-
-def _trim_to_live(nodes: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
-    """Largest subset where every node keeps an outgoing edge inside the set:
-    count each node's edges into the set, then delete out-degree-0 nodes
-    from a worklist, taking one edge off each of their predecessors, so
-    every edge is looked at twice."""
-    into: dict[int, list[int]] = {v: [] for v in nodes}
-    degree = {}
-    for v in into:
-        d = 0
-        for w in successors(v):
-            if w in into:
-                into[w].append(v)
-                d += 1
-        degree[v] = d
-    dead = [v for v, d in degree.items() if not d]
-    while dead:
-        for v in into[dead.pop()]:
-            degree[v] -= 1
-            if not degree[v]:
-                dead.append(v)
-    return {v for v, d in degree.items() if d}
 
 
 def predecessor_table(g: Graph) -> dict[int, tuple[int, ...]]:

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DanglingEdge,
@@ -386,24 +386,44 @@ def _union(masks: Sequence[int], vset: int) -> int:
     return acc
 
 
+def _trim_to_live(nodes: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
+    """Largest subset where every node keeps an outgoing edge inside the set:
+    count each node's edges into the set, then delete out-degree-0 nodes
+    from a worklist, taking one edge off each of their predecessors, so
+    every edge is looked at twice."""
+    into: dict[int, list[int]] = {v: [] for v in nodes}
+    degree = {}
+    for v in into:
+        d = 0
+        for w in successors(v):
+            if w in into:
+                into[w].append(v)
+                d += 1
+        degree[v] = d
+    dead = [v for v, d in degree.items() if not d]
+    while dead:
+        for v in into[dead.pop()]:
+            degree[v] -= 1
+            if not degree[v]:
+                dead.append(v)
+    return {v for v, d in degree.items() if d}
+
+
 def _essentialize(
     alphabet: Alphabet,
     edges: list[tuple[int, int, int]],
     name: Callable[[int], str],
 ) -> Graph:
-    """Iteratively delete vertices without outgoing edges, then reindex.
+    """Delete the vertices left without an outgoing edge, then reindex.
 
-    The search starts from the edges' sources, since a vertex without an
-    out-edge is deleted in the first round anyway, and only kept vertices
-    are named, so the work follows the edges, not the declared vertex count.
+    The trim starts from the edges' sources, since a vertex without an
+    out-edge is deleted anyway, and only kept vertices are named, so the
+    work follows the edges, not the declared vertex count.
     """
-    alive = {src for (src, dst, a) in edges}
-    while True:
-        have_out = {src for (src, dst, a) in edges if src in alive and dst in alive}
-        dead = alive - have_out
-        if not dead:
-            break
-        alive -= dead
+    out: dict[int, list[int]] = {}
+    for src, dst, _ in edges:
+        out.setdefault(src, []).append(dst)
+    alive = _trim_to_live(out, out.__getitem__)
     if not alive:
         raise EmptyShift("no vertex supports an infinite path")
     order = sorted(alive)

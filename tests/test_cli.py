@@ -315,14 +315,61 @@ def test_malformed_documents_exit_one(name, capsys, tmp_path):
     [
         ["dimension-group", "--k-max", "-1", "--json"],
         ["kgroups", "-l", "-1"],
-        ["kgroups", "--monoid-cap", "-5"],
-        ["check", "--condition", "I", "--monoid-cap", "0"],
     ],
 )
 def test_negative_budgets_exit_one(argv, inputs, capsys):
     code, out, err = run(capsys, argv + ["-i", inputs["gm"]])
     assert (code, out) == (1, "")
     assert err.startswith("error:")
+
+
+# every command takes -i and --json; the five tower commands take
+# --max-level, and of those only classes and kgroups --allow-partial
+REMOVED_SLOTS = [
+    (cmd, opt)
+    for cmd in ("bf", "repcheck", "oracle-ck")
+    for opt in ("--max-level", "--monoid-cap", "--allow-partial")
+] + [(cmd, "--allow-partial") for cmd in ("dimension-group", "check", "ideals")] + [
+    (cmd, "--monoid-cap")
+    for cmd in ("classes", "kgroups", "dimension-group", "check", "ideals")
+]
+
+
+@pytest.mark.parametrize("command,option", REMOVED_SLOTS)
+def test_options_a_command_does_not_read_exit_one(command, option, inputs, capsys):
+    argv = [command, "-i", inputs["gm"], option]
+    if option != "--allow-partial":
+        argv.append("5")
+    if command == "check":
+        argv += ["--condition", "I"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: unrecognized arguments: {option}")
+
+
+def test_k_max_past_max_level_exits_two(inputs, capsys, monkeypatch):
+    # stage k reads level k + 2 at least, so the bound is checked first
+    built = []
+    build = shiftca.cli.build_tower
+    monkeypatch.setattr(
+        shiftca.cli, "build_tower", lambda *a, **kw: built.append(a) or build(*a, **kw)
+    )
+    for extra, err_want in (
+        (["--k-max", "63"], "error: --k-max 63 reads level 65, past --max-level 64\n"),
+        (["-l", "4", "--k-max", "3"], "error: --k-max 3 reads level 5, past --max-level 4\n"),
+        (["-l", "4"], "error: --k-max 3 reads level 5, past --max-level 4\n"),
+    ):
+        code, out, err = run(capsys, ["dimension-group", "-i", inputs["gm"]] + extra)
+        assert (code, out, err) == (2, "", err_want)
+    assert built == []
+    # negative values stay input errors, whichever bound they would break
+    for extra in (["-l", "0", "--k-max", "-1"], ["-l", "-1", "--k-max", "5"]):
+        code, out, err = run(capsys, ["dimension-group", "-i", inputs["gm"]] + extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+    code, out, err = run(capsys, ["dimension-group", "-i", inputs["gm"], "--k-max", "62", "--json"])
+    assert (code, err) == (0, "")
+    assert [s["k"] for s in json.loads(out)["systems"]] == list(range(63))
 
 
 def test_usage_errors_exit_one(inputs, capsys):

@@ -13,8 +13,12 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftca.cli import main
-from shiftca.errors import EmptyShift, MonoidBudgetExceeded, WordNotInLanguage
+from shiftca.errors import (
+    EmptyShift,
+    InputFormatError,
+    MonoidBudgetExceeded,
+    WordNotInLanguage,
+)
 from shiftca.pastsets import (
     RelationMonoid,
     _infinite_word_domains,
@@ -430,8 +434,9 @@ _CAP_BOUNDARY = {
 
 
 @pytest.mark.parametrize("name", list(_CAP_BOUNDARY))
-def test_monoid_cap_boundary(name, tmp_path, capsys):
-    # a cap equal to the monoid's size builds it whole; one less stops
+def test_monoid_cap_boundary(name):
+    # a cap equal to the monoid's size builds it whole; one less stops, and
+    # a cap below 1 is an input error
     p = _CAP_BOUNDARY[name]
     g = to_labeled_graph(p)
     m = MonoidGraph(g)
@@ -442,15 +447,9 @@ def test_monoid_cap_boundary(name, tmp_path, capsys):
     assert (len(tw.monoid), tw.tsets) == (len(m), realized_tsets(m))
     with pytest.raises(MonoidBudgetExceeded):
         build_tower(p, monoid_cap=len(m) - 1)
-    path = tmp_path / f"{name}.json"
-    path.write_text(p.to_json())
-    argv = ["kgroups", "-i", str(path), "--json"]
-    assert main(argv) == 0
-    whole = capsys.readouterr().out
-    assert main(argv + ["--monoid-cap", str(len(m))]) == 0
-    assert capsys.readouterr().out == whole
-    assert main(argv + ["--monoid-cap", str(len(m) - 1)]) == 2
-    assert "monoid" in capsys.readouterr().err
+    for cap in (0, -5):
+        with pytest.raises(InputFormatError):
+            build_tower(p, monoid_cap=cap)
 
 
 def _trim_by_rescans(nodes, successors):

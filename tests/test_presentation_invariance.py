@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 import pytest
 
+import shiftca.presentations
 from shiftca import (
     aperiodic_past,
     build_tower,
@@ -29,6 +30,7 @@ from shiftca.cli import main
 from shiftca.errors import EmptyShift
 from shiftca.presentations import (
     EPSILON,
+    Graph,
     Presentation,
     Word,
     _essentialize,
@@ -405,3 +407,85 @@ def test_condition_I_is_condition_L_on_sfts():
         assert (verdict.status == "holds") == _every_cycle_has_an_exit(matrix), matrix
         holds += verdict.status == "holds"
     assert 0 < holds < len(matrices)
+
+
+# -- essentialization: the worklist trim against rounds of full rescans -------------
+
+
+def _essentialize_by_rescans(alphabet, edges, name):
+    """``_essentialize`` as it was before the worklist trim: each round
+    rescans every edge and deletes the vertices left without an out-edge,
+    so a chain of n dead vertices takes n rounds."""
+    alive = {src for (src, dst, a) in edges}
+    while True:
+        have_out = {src for (src, dst, a) in edges if src in alive and dst in alive}
+        dead = alive - have_out
+        if not dead:
+            break
+        alive -= dead
+    if not alive:
+        raise EmptyShift("no vertex supports an infinite path")
+    order = sorted(alive)
+    remap = {v: i for i, v in enumerate(order)}
+    kept = sorted(
+        (remap[s], remap[t], a)
+        for (s, t, a) in edges
+        if s in alive and t in alive
+    )
+    return Graph(
+        alphabet=alphabet,
+        n_vertices=len(order),
+        edges=tuple(kept),
+        vertex_names=tuple(name(v) for v in order),
+    )
+
+
+def _dead_end_chain(n):
+    """A self-loop at vertex 0 and the chain 1 -> 2 -> ... -> n into a dead
+    end: the rescans delete one vertex of the chain per round."""
+    edges = [(0, 0, "a"), (0, 1, "a")] + [(i, i + 1, "a") for i in range(1, n)]
+    return Presentation.labeled_graph(("a",), n + 1, edges)
+
+
+def test_essentialize_matches_rescans(monkeypatch):
+    """Every graph that ``to_labeled_graph`` essentializes on the small-graph,
+    random-graph and forbidden-word corpora, and the dead-end chain, comes
+    out equal to the rescans' graph, or empty for both."""
+    calls = []
+
+    def both(alphabet, edges, name):
+        try:
+            want = _essentialize_by_rescans(alphabet, edges, name)
+        except EmptyShift:
+            want = "empty"
+        try:
+            got = _essentialize(alphabet, edges, name)
+        except EmptyShift:
+            got = "empty"
+        assert got == want, edges
+        calls.append(got == "empty")
+        if got == "empty":
+            raise EmptyShift("no vertex supports an infinite path")
+        return got
+
+    monkeypatch.setattr(shiftca.presentations, "_essentialize", both)
+    presentations = [
+        q
+        for matrix in _corpus()
+        for q in (_sft(matrix), _as_forbidden_2_blocks(matrix), _as_labeled_graph(matrix))
+    ]
+    presentations += _random_graphs(random.Random(60603), 146)
+    words = [w for k in (1, 2, 3) for w in product("01", repeat=k)]
+    presentations += [
+        Presentation.forbidden_words("01", s)
+        for s in [(w,) for w in words] + list(combinations(words, 2))
+    ]
+    presentations += _random_forbidden_sets(random.Random(60601), 150)
+    presentations += [_dead_end_chain(n) for n in (1, 2, 1000)]
+    for p in presentations:
+        try:
+            to_labeled_graph(p)
+        except EmptyShift:
+            pass
+    assert 0 < sum(calls) < len(calls)
+    assert to_labeled_graph(_dead_end_chain(1000)).n_vertices == 1
