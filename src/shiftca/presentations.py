@@ -459,7 +459,12 @@ def to_labeled_graph(p: Presentation) -> Graph:
     w, then w[:-1] is a suffix of q.u and a vertex, hence a suffix of p, so
     w is a suffix of p.a and the edge is missing.  Every path therefore
     reads an F-free sequence, and from the empty word every F-free sequence
-    is read.
+    is read.  Target and test are read off q's failure link f(q), the
+    longest proper suffix of q that is a vertex, as in Aho-Corasick: the
+    target is q.a when that is a vertex and f(q)'s a-target otherwise, and
+    some suffix of q.a is forbidden iff q.a is or one of f(q).a is.  The
+    shortlex order puts f(q) before q, so each (vertex, symbol) pair costs
+    a fixed number of lookups.
 
     labeled_graph: taken as-is.  All three routes end with essentialization
     (vertices must have outgoing edges; starts without incoming edges are
@@ -477,20 +482,35 @@ def to_labeled_graph(p: Presentation) -> Graph:
         return _essentialize(alphabet, edges, alphabet.symbols.__getitem__)
 
     if p.kind == "forbidden_words":
-        forb = set(p.forbidden)
         states = sorted(
             {EPSILON} | {w[:i] for w in p.forbidden for i in range(len(w))},
             key=alphabet.sort_key,
         )
         index = {q: i for i, q in enumerate(states)}
+        n_sym = len(alphabet)
+        child = {
+            (index[q[:-1]], alphabet.index(q[-1])): i for i, q in enumerate(states) if q
+        }
+        banned = {(index[w[:-1]], alphabet.index(w[-1])) for w in p.forbidden}
+        # per vertex q and symbol a: go, the longest suffix of q·a that is a
+        # vertex, and dead, whether some suffix of q·a is forbidden; both
+        # extend the row of q's failure link, fail[q]
+        go: list[list[int]] = []
+        dead: list[list[bool]] = []
+        fail = [0] * len(states)
         edges = []
-        for q in states:
-            for a, s in enumerate(alphabet.symbols):
-                qa = q + (s,)
-                suffixes = [qa[i:] for i in range(len(qa) + 1)]
-                if not any(u in forb for u in suffixes):
-                    target = next(u for u in suffixes if u in index)
-                    edges.append((index[q], index[target], a))
+        for i in range(len(states)):
+            up_go = go[fail[i]] if i else [0] * n_sym
+            up_dead = dead[fail[i]] if i else [False] * n_sym
+            go.append(list(up_go))
+            dead.append([(i, a) in banned or up_dead[a] for a in range(n_sym)])
+            for a in range(n_sym):
+                c = child.get((i, a))
+                if c is not None:
+                    fail[c] = up_go[a]
+                    go[i][a] = c
+                if not dead[i][a]:
+                    edges.append((i, go[i][a], a))
         return _essentialize(
             alphabet, edges, lambda v: alphabet.format_word(states[v])
         )

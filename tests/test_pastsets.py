@@ -21,6 +21,7 @@ from shiftca.errors import (
 )
 from shiftca.pastsets import (
     RelationMonoid,
+    _free_vertices,
     _infinite_word_domains,
     _pairs,
     _trim_to_live,
@@ -421,6 +422,87 @@ def test_columnwise_monoid_matches_rowwise_reference():
         graphs += 1
         nodes += len(got)
     assert graphs > 500 and nodes > 15_000 and sfts == 5
+
+
+def _mixed_graphs(rng, count):
+    """Seeded graphs over a, b, c, d without a d-edge.  The vertices below a
+    random split have at most one target per symbol and edges only among
+    themselves, so none of them reaches a fork; the vertices above it draw
+    their edges anywhere, forks included."""
+    for _ in range(count):
+        nv = rng.randint(2, 8)
+        split = rng.randint(1, nv - 1)
+        edges = {
+            (v, rng.randrange(split), s)
+            for v in range(split)
+            for s in rng.sample("abc", rng.randint(1, 3))
+        }
+        edges |= {
+            (v, rng.randrange(nv), rng.choice("abc"))
+            for v in range(split, nv)
+            for _ in range(rng.randint(1, 4))
+        }
+        yield Presentation.labeled_graph(tuple("abcd"), nv, sorted(edges))
+
+
+def _count_corpus():
+    """300 mixed graphs, the seven one-vertex graphs on three symbols (the
+    identity is itself a one-column relation there) and seeded random SFTs
+    with n = 8, 11, 14, 17 and 20."""
+    rng = random.Random(2828)
+    yield from _mixed_graphs(rng, 300)
+    for loops in range(1, 8):
+        edges = [(0, 0, s) for i, s in enumerate("abc") if loops >> i & 1]
+        yield Presentation.labeled_graph(("a", "b", "c"), 1, edges)
+    for n in range(8, 21, 3):
+        yield _random_sft(rng, n)
+
+
+def _brute_free_vertices(g):
+    """The vertices whose reach, found by a search of its own, holds no
+    vertex with two targets under one symbol."""
+    succ = [0] * g.n_vertices
+    forks = 0
+    for a in range(len(g.alphabet)):
+        for v, targets in enumerate(g.symbol_relation_rows(a)):
+            succ[v] |= targets
+            if targets & (targets - 1):
+                forks |= 1 << v
+    free = 0
+    for v in range(g.n_vertices):
+        reach, todo = 1 << v, [v]
+        while todo:
+            for w in g.vertices_in(succ[todo.pop()] & ~reach):
+                reach |= 1 << w
+                todo.append(w)
+        if not reach & forks:
+            free |= 1 << v
+    return free
+
+
+def test_count_matches_reference_on_free_and_forked_vertices():
+    # one-column relations at vertices that reach no fork are counted by
+    # the vertices they reach, never built; the count, its cap verdicts and
+    # those vertices match the reference on graphs that mix both kinds
+    kinds = {"mixed": 0, "one vertex": 0, "sft": 0, "unused symbol": 0}
+    for p in _count_corpus():
+        g = to_labeled_graph(p)
+        size = len(MonoidGraph(g))
+        assert len(RelationMonoid(g)) == size, p
+        assert len(RelationMonoid(g, cap=size)) == size
+        with pytest.raises(MonoidBudgetExceeded):
+            RelationMonoid(g, cap=size - 1)
+        cols = [{} for _ in g.alphabet]
+        for w, x, a in g.edges:
+            cols[a][x] = cols[a].get(x, 0) | 1 << w
+        free = _free_vertices(cols, g.n_vertices)
+        assert free == _brute_free_vertices(g), p
+        kinds["mixed"] += 0 < free < g.full_mask
+        kinds["one vertex"] += g.n_vertices == 1
+        kinds["sft"] += p.kind == "sft"
+        kinds["unused symbol"] += not all(cols)
+    assert kinds["mixed"] > 150 and kinds["one vertex"] >= 7
+    assert kinds["sft"] == 5 and kinds["unused symbol"] > 300
 
 
 _CAP_RNG = random.Random(607)

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -14,8 +15,10 @@ from shiftca.errors import (
     ZeroRow,
 )
 from shiftca.presentations import (
+    EPSILON,
     Graph,
     Presentation,
+    _essentialize,
     is_in_language,
     language,
     language_upto,
@@ -142,6 +145,70 @@ def test_essentialization_work_follows_the_edges():
         tracemalloc.stop()
     assert (g.n_vertices, g.vertex_names, g.edges) == (1, ("7",), ((0, 0, 0),))
     assert peak < 1 << 20
+
+
+def _graph_by_suffix_scans(p):
+    """The forbidden-word graph as built before failure links: each
+    (vertex, symbol) pair lists every suffix of q·a, which made 0^k cost
+    k³."""
+    alphabet = p.alphabet
+    forb = set(p.forbidden)
+    states = sorted(
+        {EPSILON} | {w[:i] for w in p.forbidden for i in range(len(w))},
+        key=alphabet.sort_key,
+    )
+    index = {q: i for i, q in enumerate(states)}
+    edges = []
+    for q in states:
+        for a, s in enumerate(alphabet.symbols):
+            qa = q + (s,)
+            suffixes = [qa[i:] for i in range(len(qa) + 1)]
+            if not any(u in forb for u in suffixes):
+                target = next(u for u in suffixes if u in index)
+                edges.append((index[q], index[target], a))
+    return _essentialize(alphabet, edges, lambda v: alphabet.format_word(states[v]))
+
+
+def _forbidden_sets():
+    """Seeded forbidden sets over 1 to 3 symbols, each word either random or
+    cut from an earlier one (a prefix or a suffix, maybe extended), then
+    0^k for k up to 40."""
+    rng = random.Random(2_8028)
+    for _ in range(1500):
+        syms = "abc"[: rng.randint(1, 3)]
+        words = []
+        for _ in range(rng.randint(1, 6)):
+            if words and rng.random() < 0.5:
+                w = rng.choice(words)
+                cut = rng.randint(1, len(w))
+                w = w[:cut] if rng.random() < 0.5 else w[-cut:]
+                w += tuple(rng.choice(syms) for _ in range(rng.randint(0, 2)))
+            else:
+                w = tuple(rng.choice(syms) for _ in range(rng.randint(1, 6)))
+            words.append(w)
+        yield Presentation.forbidden_words(tuple(syms), words)
+    for k in range(1, 41):
+        yield Presentation.forbidden_words(("0", "1"), [("0",) * k])
+
+
+def test_forbidden_word_graph_matches_suffix_scans():
+    # the failure-link construction gives the same vertices, in the same
+    # order, and the same edge tuples as scanning every suffix of q·a
+    graphs = empty = prefixed = suffixed = 0
+    for p in _forbidden_sets():
+        ws = p.forbidden
+        prefixed += any(u != w and w[: len(u)] == u for u in ws for w in ws)
+        suffixed += any(u != w and w[-len(u):] == u for u in ws for w in ws)
+        try:
+            want = _graph_by_suffix_scans(p)
+        except EmptyShift:
+            with pytest.raises(EmptyShift):
+                to_labeled_graph(p)
+            empty += 1
+            continue
+        assert to_labeled_graph(p) == want, p
+        graphs += 1
+    assert graphs > 900 and empty > 400 and prefixed > 800 and suffixed > 800
 
 
 def test_word_formatting_multichar_symbols():

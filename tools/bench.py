@@ -11,7 +11,7 @@ SUITE names a list of stages and the inputs it times them on:
   random SFTs of the benchmark's ``sft-cli`` workload (n = 16, 28, 20), the
   labeled graphs, mod-k gap graphs and 0^k shifts of its ``sofic-towers``
   workload, all drawn as ``layerbench`` draws them with seed 1, seed-7
-  random SFTs with n = 80 and 120, and revk (k = 12, 13): the CI memory
+  random SFTs with n = 80, 120 and 160, and revk (k = 12, 13): the CI memory
   guard's "k-th symbol from the end" graph with every edge reversed.
 - ``smith``: ``intlinalg.smith_form`` on I - A for seeded random 0-1
   matrices A (entries 1 with probability 1/2, drawn row by row from
@@ -110,7 +110,7 @@ class Tower:
                 for k in wl.SoficTowers.GAPS]
         out += [(f"zeros{k}", wl.forbidden_doc(["0" * k]), None)
                 for k in wl.SoficTowers.ZERO_RUNS]
-        for n, runs in ((80, 5), (120, 3)):
+        for n, runs in ((80, 5), (120, 3), (160, 3)):
             big = random.Random(7)
             matrix = [[int(big.random() < 0.5) for _ in range(n)] for _ in range(n)]
             out.append((f"sft{n}", wl.sft_doc(matrix, [f"s{i}" for i in range(n)]), runs))
